@@ -56,14 +56,14 @@ def cmd_phantom(args):
 
 # -- train -----------------------------------------------------------------
 
-def load_split_cases(data_dir, config: RunConfig):
+def load_split_cases(data_dir):
     cases, splits = vio.read_dataset(data_dir)
     return {name: [cases[cid] for cid in ids] for name, ids in splits.items()}
 
 
 def cmd_train(args):
     config = RunConfig.from_file(args.config)
-    split = load_split_cases(args.data, config)
+    split = load_split_cases(args.data)
     if not split.get("train") or not split.get("val"):
         raise CliError("dataset must provide nonempty train and val splits")
     train_cfg = config.train_config()
@@ -97,13 +97,12 @@ def cmd_train(args):
 
 # -- predict ---------------------------------------------------------------
 
-def _predict_masses_for_case(model, train_cfg, case, stride=16):
+def _predict_masses_for_case(model, train_cfg, case, stride):
     x, _ = tr.prepare_case(case)
     patch = tuple(min(p, d) for p, d in zip(train_cfg.patch_dims,
                                             case.pet.dims))
-    return mx.sliding_window_masses(
-        lambda p: model.predict_masses(p), x,
-        patch_dims=patch, stride=stride)
+    return mx.sliding_window_masses(model.predict_masses, x,
+                                    patch_dims=patch, stride=stride)
 
 
 def cmd_predict(args):
@@ -128,8 +127,7 @@ def cmd_predict(args):
 
 def cmd_eval(args):
     model, train_cfg, _ = tr.load_checkpoint(args.ckpt)
-    config = RunConfig({})
-    split = load_split_cases(args.data, config)
+    split = load_split_cases(args.data)
     if args.split not in split:
         raise CliError(f"split {args.split!r} not in dataset manifest")
     cases = split[args.split]
@@ -152,8 +150,6 @@ def cmd_eval(args):
 # -- gradcheck -------------------------------------------------------------
 
 def cmd_gradcheck(args):
-    if args.config:
-        RunConfig.from_file(args.config)  # validated; suite uses tiny sizes
     results = gc.run_suite(instances=args.instances,
                            inject_fault=args.inject_fault)
     failed = False
@@ -219,7 +215,6 @@ def build_parser():
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="run the finite-difference suite")
-    p.add_argument("--config", default=None)
     p.add_argument("--instances", type=int, default=20)
     p.add_argument("--inject-fault", default=None, metavar="OP",
                    help="corrupt one gradient of OP to prove the check bites")

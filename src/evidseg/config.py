@@ -1,58 +1,63 @@
-"""Run configuration: one JSON document driving the whole pipeline.
+"""Run configuration: one JSON document driving training.
 
 Parsing is strict: unknown keys anywhere are fatal, so a typo in a
-hyperparameter name cannot silently fall back to a default.
+hyperparameter name cannot silently fall back to a default. A key that is
+absent keeps the default of the `TrainConfig` or `BackboneConfig` field it
+maps onto; this module holds no defaults of its own.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import fields
 from pathlib import Path
 
 from .backbone_unet import BackboneConfig
-from .trainer import TrainConfig
+from .trainer import HEADS, TrainConfig
+
+# the accepted keys per section; "head" selects the model head, every other
+# key sets a TrainConfig or BackboneConfig field
+SECTIONS = {
+    "backbone": ("channels",),
+    "es": ("head", "prototypes", "alpha_init", "gamma_init"),
+    "loss": ("lambda", "dice_mode"),
+    "train": ("lr", "epochs", "batch_size", "patch_dims", "seed", "adam",
+              "lesion_patch_fraction"),
+}
+# keys whose field names differ; every other key is its field's name
+_FIELDS = {"lambda": "lam", "adam": ("beta1", "beta2", "eps")}
 
 
 class ConfigError(ValueError):
     """Invalid or unknown configuration content."""
 
 
-_SCHEMA = {
-    "data": {"dims": [32, 32, 32], "count": 200, "lesions": [1, 3],
-             "ratios": [0.8, 0.1, 0.1]},
-    "backbone": {"channels": [4, 8, 16], "in_channels": 2},
-    "es": {"prototypes": 20, "alpha_init": 0.5, "gamma_init": 0.01,
-           "head": "evidential"},
-    "loss": {"lambda": 1e-5, "dice_mode": "pignistic"},
-    "train": {"lr": 1e-3, "epochs": 50, "batch_size": 2,
-              "patch_dims": [32, 32, 32], "seed": 0,
-              "adam": [0.9, 0.999, 1e-8], "lesion_patch_fraction": 0.5},
-    "eval": {"stride": 16},
-}
-
-
-@dataclass
 class RunConfig:
-    sections: dict = field(default_factory=dict)
+    """A parsed configuration document: the model head plus the fields it
+    sets on TrainConfig and BackboneConfig."""
 
-    def __post_init__(self):
-        merged = {}
-        for section, defaults in _SCHEMA.items():
-            given = self.sections.get(section, {})
+    def __init__(self, doc):
+        self._values = {}
+        for section, given in doc.items():
+            if section not in SECTIONS:
+                raise ConfigError(f"unknown section {section!r}")
             if not isinstance(given, dict):
                 raise ConfigError(f"section {section!r} must be an object")
-            unknown = set(given) - set(defaults)
-            if unknown:
-                raise ConfigError(
-                    f"unknown key(s) in section {section!r}: "
-                    + ", ".join(sorted(unknown)))
-            merged[section] = {**defaults, **given}
-        unknown_sections = set(self.sections) - set(_SCHEMA)
-        if unknown_sections:
-            raise ConfigError("unknown section(s): "
-                              + ", ".join(sorted(unknown_sections)))
-        self.sections = merged
+            for key, value in given.items():
+                if key not in SECTIONS[section]:
+                    raise ConfigError(
+                        f"unknown key {key!r} in section {section!r}")
+                names = _FIELDS.get(key, key)
+                if isinstance(names, str):
+                    self._values[names] = value
+                elif isinstance(value, list) and len(value) == len(names):
+                    self._values.update(zip(names, value))
+                else:
+                    raise ConfigError(f"{section}.{key} must be a list of "
+                                      f"{len(names)} numbers")
+        self.head = self._values.pop("head", HEADS[0])
+        if self.head not in HEADS:
+            raise ConfigError(f"unknown head {self.head!r}")
 
     @classmethod
     def from_file(cls, path):
@@ -64,35 +69,15 @@ class RunConfig:
             raise ConfigError(f"{path}: top level must be an object")
         return cls(doc)
 
-    def __getitem__(self, section):
-        return self.sections[section]
-
-    @property
-    def head(self):
-        head = self["es"]["head"]
-        if head not in ("evidential", "softmax"):
-            raise ConfigError(f"unknown head {head!r}")
-        return head
+    def _build(self, cls):
+        own = {f.name for f in fields(cls)}
+        try:
+            return cls(**{k: v for k, v in self._values.items() if k in own})
+        except (TypeError, ValueError) as e:
+            raise ConfigError(str(e)) from e
 
     def backbone_config(self) -> BackboneConfig:
-        b = self["backbone"]
-        try:
-            return BackboneConfig(channels=tuple(b["channels"]),
-                                  in_channels=int(b["in_channels"]))
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
+        return self._build(BackboneConfig)
 
     def train_config(self) -> TrainConfig:
-        t, es, loss = self["train"], self["es"], self["loss"]
-        beta1, beta2, eps = t["adam"]
-        try:
-            return TrainConfig(
-                lr=t["lr"], epochs=t["epochs"], lam=loss["lambda"],
-                prototypes=es["prototypes"], alpha_init=es["alpha_init"],
-                gamma_init=es["gamma_init"], batch_size=t["batch_size"],
-                patch_dims=tuple(t["patch_dims"]), seed=t["seed"],
-                beta1=beta1, beta2=beta2, eps=eps,
-                dice_mode=loss["dice_mode"],
-                lesion_patch_fraction=t["lesion_patch_fraction"])
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
+        return self._build(TrainConfig)

@@ -101,8 +101,7 @@ class Tensor:
         def backward(g):
             return (_unbroadcast(g, self.shape), _unbroadcast(g, other.shape))
 
-        return self._make(self.data + other.data, "add", (self, other),
-                          lambda g: backward(g))
+        return self._make(self.data + other.data, "add", (self, other), backward)
 
     __radd__ = __add__
 

@@ -11,12 +11,13 @@ import numpy as np
 from . import backbone_unet as bb
 from . import evidential_head as ev
 from . import objectives as obj
+from . import tensor_core as tc
 from .seeding import derive_seed
-from .tensor_core import Tensor
 from .volume_io import CT_NORM, PET_NORM, PatientCase, normalize
 
 CKPT_MAGIC = b"EVIDCKPT"
 CKPT_VERSION = 1
+HEADS = ("evidential", "softmax")  # the first is the default
 
 
 class TrainingError(RuntimeError):
@@ -56,17 +57,26 @@ class TrainConfig:
         self.patch_dims = tuple(int(d) for d in self.patch_dims)
 
 
+def head_shapes(head: str, feature_dim: int, prototypes: int) -> dict:
+    """Name -> shape of every tensor of `head`, as its init creates them."""
+    i, c = prototypes, feature_dim
+    if head == "evidential":
+        return {"es.prototypes": (i, c), "es.membership_logits": (i, ev.K),
+                "es.alpha_logits": (i,), "es.gamma_roots": (i,)}
+    return {"head.w": (2, c, 1, 1, 1), "head.b": (2,)}
+
+
 def init_es_params(config: TrainConfig, feature_dim: int, seed: int,
                    dtype=np.float32) -> ev.EsParams:
     """Uniform random prototypes/memberships; alpha and gamma at constants."""
     rng = np.random.default_rng(seed)
-    i = config.prototypes
+    s = head_shapes("evidential", feature_dim, config.prototypes)
     a = config.alpha_init
     return ev.EsParams(
-        prototypes=rng.uniform(-1.0, 1.0, size=(i, feature_dim)).astype(dtype),
-        membership_logits=rng.uniform(-0.1, 0.1, size=(i, ev.K)).astype(dtype),
-        alpha_logits=np.full(i, np.log(a / (1.0 - a)), dtype=dtype),
-        gamma_roots=np.full(i, np.sqrt(config.gamma_init), dtype=dtype),
+        rng.uniform(-1.0, 1.0, s["es.prototypes"]).astype(dtype),
+        rng.uniform(-0.1, 0.1, s["es.membership_logits"]).astype(dtype),
+        np.full(s["es.alpha_logits"], np.log(a / (1.0 - a)), dtype=dtype),
+        np.full(s["es.gamma_roots"], np.sqrt(config.gamma_init), dtype=dtype),
     )
 
 
@@ -76,48 +86,48 @@ def init_es_params(config: TrainConfig, feature_dim: int, seed: int,
 class Model:
     """Backbone plus either the evidential head or a softmax baseline head."""
     backbone_config: bb.BackboneConfig
-    head: str  # "evidential" | "softmax"
+    head: str  # one of HEADS
     params: dict = field(default_factory=dict)
 
     @classmethod
     def create(cls, backbone_config: bb.BackboneConfig, head: str,
                train_config: TrainConfig, seed: int, dtype=np.float32):
-        if head not in ("evidential", "softmax"):
+        if head not in HEADS:
             raise ValueError(f"unknown head {head!r}")
-        params = init_backbone(backbone_config, derive_seed(seed, "backbone"),
-                               dtype=dtype)
+        params = bb.init_backbone(backbone_config,
+                                  derive_seed(seed, "backbone"), dtype=dtype)
         c = backbone_config.feature_dim
         if head == "evidential":
             es = init_es_params(train_config, c, derive_seed(seed, "es"), dtype)
             params.update(es.as_dict())
         else:
+            shape = head_shapes(head, c, train_config.prototypes)
             rng = np.random.default_rng(derive_seed(seed, "softmax-head"))
             bound = np.sqrt(6.0 / c)
             params["head.w"] = rng.uniform(-bound, bound,
-                                           size=(2, c, 1, 1, 1)).astype(dtype)
-            params["head.b"] = np.zeros(2, dtype=dtype)
+                                           size=shape["head.w"]).astype(dtype)
+            params["head.b"] = np.zeros(shape["head.b"], dtype=dtype)
         return cls(backbone_config, head, params)
 
-    def forward(self, x: np.ndarray, trainable: bool = False) -> Tensor:
+    def forward(self, x: np.ndarray, trainable: bool = False) -> tc.Tensor:
         """(N, 2, X, Y, Z) input -> (N, 3, X, Y, Z) mass map tensor.
 
         The softmax head emits pseudo-masses (p_a, p_b, 0) so both heads
         share the decision and metric paths.
         """
-        leaves = {k: Tensor(v, requires_grad=trainable)
+        leaves = {k: tc.Tensor(v, requires_grad=trainable)
                   for k, v in self.params.items()}
-        xt = Tensor(np.asarray(x, dtype=self.dtype))
+        xt = tc.Tensor(np.asarray(x, dtype=self.dtype))
         feats = bb.forward_features(leaves, xt, self.backbone_config)
         if self.head == "evidential":
             out = ev.es_forward(feats, leaves)
         else:
-            from .tensor_core import concat, conv3d
-            logits = conv3d(feats, leaves["head.w"], leaves["head.b"])
+            logits = tc.conv3d(feats, leaves["head.w"], leaves["head.b"])
             shift = logits.data.max(axis=1, keepdims=True)
             e = (logits - shift).exp()
             p = e / e.sum(axis=1, keepdims=True)
-            zero = Tensor(np.zeros((x.shape[0], 1) + x.shape[2:], dtype=self.dtype))
-            out = concat([p, zero], axis=1)
+            zero = tc.Tensor(np.zeros((x.shape[0], 1) + x.shape[2:], dtype=self.dtype))
+            out = tc.concat([p, zero], axis=1)
         return out, leaves
 
     @property
@@ -138,10 +148,6 @@ class Model:
             alpha_logits=self.params["es.alpha_logits"],
             gamma_roots=self.params["es.gamma_roots"],
         )
-
-
-def init_backbone(config, seed, dtype=np.float32):
-    return bb.init_backbone(config, seed, dtype=dtype)
 
 
 # -- Adam ------------------------------------------------------------------
@@ -258,15 +264,20 @@ def load_checkpoint(path):
         channels=tuple(header["backbone_channels"]),
         in_channels=header["in_channels"])
     model = Model(backbone_config, header["head"], params)
-    _validate_params(model)
+    _validate_params(model, config.prototypes)
     return model, config, header["epoch"]
 
 
-def _validate_params(model: Model):
+def _validate_params(model: Model, prototypes: int):
+    """Reject a head, or a set of tensor names and shapes, init never makes."""
+    if model.head not in HEADS:
+        raise ValueError(f"checkpoint has unknown head {model.head!r}")
     expected = {}
     for name, shape in bb._conv_shapes(model.backbone_config):
         expected[f"{name}.w"] = shape
         expected[f"{name}.b"] = (shape[0],)
+    expected.update(head_shapes(model.head, model.backbone_config.feature_dim,
+                                prototypes))
     for name, shape in expected.items():
         if name not in model.params:
             raise ValueError(f"checkpoint missing tensor {name!r}")
@@ -274,6 +285,9 @@ def _validate_params(model: Model):
             raise ValueError(
                 f"checkpoint tensor {name!r} has shape "
                 f"{model.params[name].shape}, expected {shape}")
+    extra = sorted(model.params.keys() - expected.keys())
+    if extra:
+        raise ValueError(f"checkpoint has unexpected tensor(s) {extra}")
 
 
 # -- training loop ---------------------------------------------------------

@@ -5,9 +5,24 @@ import json
 import numpy as np
 import pytest
 
+from evidseg.backbone_unet import BackboneConfig
 from evidseg.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
-from evidseg.config import ConfigError, RunConfig
+from evidseg.config import SECTIONS, ConfigError, RunConfig
+from evidseg.trainer import TrainConfig, load_checkpoint, save_checkpoint
 from evidseg.volume_io import read_dataset, read_volume
+
+# a valid value other than the default for every accepted key
+NON_DEFAULT = {
+    "channels": [2, 4], "head": "softmax", "prototypes": 3,
+    "alpha_init": 0.25, "gamma_init": 0.04, "lambda": 1e-4,
+    "dice_mode": "singleton", "lr": 1e-2, "epochs": 3, "batch_size": 4,
+    "patch_dims": [16, 16, 16], "seed": 1, "adam": [0.8, 0.99, 1e-7],
+    "lesion_patch_fraction": 0.25,
+}
+
+
+def resolved(config):
+    return config.train_config(), config.backbone_config(), config.head
 
 
 class TestRunConfig:
@@ -18,13 +33,27 @@ class TestRunConfig:
         assert (train.lam, train.alpha_init, train.gamma_init) == (1e-5, 0.5,
                                                                    0.01)
 
-    def test_unknown_key_named_in_error(self):
-        with pytest.raises(ConfigError, match="learnig_rate"):
-            RunConfig({"train": {"learnig_rate": 1e-3}})
+    def test_defaults_are_the_dataclass_defaults(self):
+        config = RunConfig({})
+        assert config.train_config() == TrainConfig()
+        assert config.backbone_config() == BackboneConfig()
 
-    def test_unknown_section_rejected(self):
-        with pytest.raises(ConfigError, match="optimizer"):
-            RunConfig({"optimizer": {}})
+    @pytest.mark.parametrize("section,key", [
+        (section, key) for section, keys in SECTIONS.items() for key in keys])
+    def test_every_key_changes_the_run(self, section, key):
+        config = RunConfig({section: {key: NON_DEFAULT[key]}})
+        assert resolved(config) != resolved(RunConfig({}))
+
+    @pytest.mark.parametrize("section,key", [("train", "learnig_rate"),
+                                             ("backbone", "in_channels")])
+    def test_unknown_key_named_in_error(self, section, key):
+        with pytest.raises(ConfigError, match=key):
+            RunConfig({section: {key: 1}})
+
+    @pytest.mark.parametrize("section", ["optimizer", "data", "eval"])
+    def test_unknown_section_rejected(self, section):
+        with pytest.raises(ConfigError, match=section):
+            RunConfig({section: {}})
 
     def test_unknown_head_rejected(self):
         with pytest.raises(ConfigError):
@@ -41,6 +70,11 @@ class TestRunConfig:
         train = config.train_config()
         assert train.epochs == 3
         assert train.lr == 1e-3
+
+    def test_gradcheck_takes_no_config(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["gradcheck", "--config", "x"])
+        assert e.value.code == 2
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +220,18 @@ class TestEvalCommand:
                      "--data", str(dataset), "--split", "holdout",
                      "--out", str(tmp_path / "e")])
         assert code == EXIT_CONFIG
+
+    def test_missing_head_tensor_exit_code(self, dataset, tiny_run, tmp_path,
+                                           capsys):
+        model, config, epoch = load_checkpoint(
+            tiny_run / "model" / "checkpoint.evckpt")
+        del model.params["es.gamma_roots"]
+        ckpt = tmp_path / "partial.evckpt"
+        save_checkpoint(ckpt, model, config, epoch)
+        code = main(["eval", "--ckpt", str(ckpt), "--data", str(dataset),
+                     "--out", str(tmp_path / "e")])
+        assert code == EXIT_CONFIG
+        assert "es.gamma_roots" in capsys.readouterr().err
 
 
 class TestGradcheckCommand:

@@ -180,6 +180,38 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="enc0.conv1.w"):
             load_checkpoint(path)
 
+    def test_missing_head_tensor_named(self, tmp_path):
+        model = tiny_model()
+        del model.params["es.gamma_roots"]
+        path = tmp_path / "m.evckpt"
+        save_checkpoint(path, model, tiny_config(), epoch=1)
+        with pytest.raises(ValueError, match="es.gamma_roots"):
+            load_checkpoint(path)
+
+    def test_extra_tensor_named(self, tmp_path):
+        model = tiny_model()
+        model.params["head.w"] = np.zeros((2, 2, 1, 1, 1), np.float32)
+        path = tmp_path / "m.evckpt"
+        save_checkpoint(path, model, tiny_config(), epoch=1)
+        with pytest.raises(ValueError, match="head.w"):
+            load_checkpoint(path)
+
+    def test_misshapen_head_tensor_named(self, tmp_path):
+        model = tiny_model(head="softmax")
+        model.params["head.w"] = np.zeros((2, 5, 1, 1, 1), np.float32)
+        path = tmp_path / "m.evckpt"
+        save_checkpoint(path, model, tiny_config(), epoch=1)
+        with pytest.raises(ValueError, match="head.w"):
+            load_checkpoint(path)
+
+    def test_unknown_head_rejected(self, tmp_path):
+        model = tiny_model(head="softmax")
+        model.head = "bayesian"
+        path = tmp_path / "m.evckpt"
+        save_checkpoint(path, model, tiny_config(), epoch=1)
+        with pytest.raises(ValueError, match="bayesian"):
+            load_checkpoint(path)
+
 
 class TestTrainLoop:
     def test_short_run_logs_and_improves_constraints(self):
