@@ -7,12 +7,11 @@ same padding), 2x max-pooling and 2x nearest-neighbour upsampling.
 
 Layout is row-major with the last index varying fastest, matching the
 volume file format. Gradient checking always runs in float64; float32 is
-for training speed only.
+for training speed only. The checker itself lives in `gradcheck`;
+Graph and track_patterns stay here: perfbench's traced run wraps tc.Graph.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -86,7 +85,9 @@ class Tensor:
             return x
         return Tensor(np.asarray(x, dtype=dtype))
 
-    def _make(self, data, op, prev, backward):
+    @staticmethod
+    def _make(data, op, prev, backward):
+        """Tape node for `data`; keeps `backward` only if a parent needs it."""
         out = Tensor(data, op=op, prev=tuple(prev))
         out.requires_grad = any(p.requires_grad for p in out._prev)
         if out.requires_grad:
@@ -260,12 +261,8 @@ def concat(tensors, axis):
     def backward(g):
         return tuple(np.split(g, splits, axis=axis))
 
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis),
-                 op="concat", prev=tuple(tensors))
-    if any(p.requires_grad for p in tensors):
-        out.requires_grad = True
-        out._backward = backward
-    return out
+    return Tensor._make(np.concatenate([t.data for t in tensors], axis=axis),
+                        "concat", tensors, backward)
 
 
 # -- spatial ops (N, C, X, Y, Z) ------------------------------------------
@@ -292,8 +289,6 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor):
     """3D convolution, kernel 1 or 3, stride 1, zero same-padding."""
     k = w.shape[2]
     out_data = _conv3d_raw(x.data, w.data, b.data)
-    n, cout = out_data.shape[0], out_data.shape[1]
-    sx, sy, sz = out_data.shape[2:]
 
     def backward(g):
         g = np.ascontiguousarray(g)
@@ -317,11 +312,7 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor):
         gb = g.sum(axis=(0, 2, 3, 4)) if b.requires_grad else None
         return (gx, gw, gb)
 
-    out = Tensor(out_data, op="conv3d", prev=(x, w, b))
-    if x.requires_grad or w.requires_grad or b.requires_grad:
-        out.requires_grad = True
-        out._backward = backward
-    return out
+    return Tensor._make(out_data, "conv3d", (x, w, b), backward)
 
 
 def maxpool3d(x: Tensor):
@@ -344,11 +335,7 @@ def maxpool3d(x: Tensor):
         gv = gv.transpose(0, 1, 2, 5, 3, 6, 4, 7)
         return (gv.reshape(n, c, sx, sy, sz),)
 
-    out = Tensor(out_data, op="maxpool3d", prev=(x,))
-    if x.requires_grad:
-        out.requires_grad = True
-        out._backward = backward
-    return out
+    return Tensor._make(out_data, "maxpool3d", (x,), backward)
 
 
 def upsample_nearest3d(x: Tensor):
@@ -360,14 +347,10 @@ def upsample_nearest3d(x: Tensor):
         gv = g.reshape(n, c, sx, 2, sy, 2, sz, 2)
         return (gv.sum(axis=(3, 5, 7)),)
 
-    out = Tensor(out_data, op="upsample3d", prev=(x,))
-    if x.requires_grad:
-        out.requires_grad = True
-        out._backward = backward
-    return out
+    return Tensor._make(out_data, "upsample3d", (x,), backward)
 
 
-# -- graph wrapper and gradient checking ----------------------------------
+# -- graph wrapper ---------------------------------------------------------
 
 class Graph:
     """A differentiable scalar function of named leaf tensors.
@@ -425,92 +408,3 @@ class Graph:
             grads[name] = t.grad if t.grad is not None else np.zeros_like(t.data)
         self._output = None
         return grads
-
-
-@dataclass
-class FdReport:
-    """Outcome of a finite-difference gradient check on one leaf."""
-    leaf: str
-    max_error: float
-    tol: float
-    passed: bool
-    worst_index: tuple = ()
-    checked: int = 0
-    skipped_at_kink: int = 0
-    errors: list = field(default_factory=list)
-
-
-def finite_difference_check(graph: Graph, leaf: str, step: float = 1e-3,
-                            tol: float = 1e-4, inputs: dict | None = None,
-                            sample: int | None = None,
-                            rng: np.random.Generator | None = None) -> FdReport:
-    """Compare backward gradients against central differences.
-
-    Relative error per element, with an absolute-error fallback when both
-    the analytic and numeric values are below 1e-8 in magnitude. `sample`
-    limits the check to that many randomly chosen elements of the leaf.
-
-    Elements whose relu/argmax activation pattern differs between the two
-    perturbed evaluations straddle a kink, where the central difference is
-    not a derivative estimate; they are skipped and counted.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if graph.dtype != np.float64:
-        raise TensorError("gradient checking requires a float64 graph")
-    track_patterns(True)
-    try:
-        graph.forward_eval(inputs)
-        base_pattern = graph.last_pattern
-        analytic = graph.backward_gradients()[leaf]
-        theta = graph.leaves[leaf]
-        flat = theta.reshape(-1)
-        indices = np.arange(flat.size)
-        if sample is not None and sample < flat.size:
-            rng = rng or np.random.default_rng(0)
-            indices = rng.choice(flat.size, size=sample, replace=False)
-        def central(i, h):
-            orig = flat[i]
-            flat[i] = orig + h
-            f_plus = graph.forward_eval(inputs)
-            plus_pattern = graph.last_pattern
-            flat[i] = orig - h
-            f_minus = graph.forward_eval(inputs)
-            minus_pattern = graph.last_pattern
-            flat[i] = orig
-            if not (base_pattern == plus_pattern == minus_pattern):
-                return None
-            return (f_plus - f_minus) / (2.0 * h)
-
-        def rel_error(a, fd):
-            # relative error with an absolute floor: elements smaller than
-            # 1e-8/tol are held to absolute error 1e-8, since relative
-            # error on near-zero gradients only measures FD truncation noise
-            denom = max(abs(a), abs(fd), 1e-8 / tol)
-            return abs(a - fd) / denom
-
-        max_err, worst, errors, skipped = 0.0, (), [], 0
-        for i in indices:
-            fd = central(i, step)
-            if fd is None:
-                skipped += 1
-                continue
-            a = analytic.reshape(-1)[i]
-            err = rel_error(a, fd)
-            if err > tol:
-                # truncation of the central difference itself can exceed tol
-                # on high-curvature elements; a wrong gradient stays wrong as
-                # the step shrinks, so recheck before declaring failure
-                fd_fine = central(i, step / 8.0)
-                if fd_fine is not None:
-                    err = min(err, rel_error(a, fd_fine))
-            errors.append(err)
-            if err > max_err:
-                max_err = err
-                worst = np.unravel_index(i, theta.shape)
-    finally:
-        track_patterns(False)
-    return FdReport(leaf=leaf, max_error=max_err, tol=tol,
-                    passed=max_err <= tol, worst_index=worst,
-                    checked=len(indices) - skipped, skipped_at_kink=skipped,
-                    errors=errors)

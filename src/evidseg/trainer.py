@@ -2,18 +2,19 @@
 
 from __future__ import annotations
 
-import json
-import struct
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import backbone_unet as bb
 from . import evidential_head as ev
+from . import metrics as mx
 from . import objectives as obj
 from . import tensor_core as tc
 from .seeding import derive_seed
-from .volume_io import CT_NORM, PET_NORM, PatientCase, normalize
+from .volume_io import (CT_NORM, PET_NORM, PatientCase, normalize,
+                        read_framed, write_framed)
 
 CKPT_MAGIC = b"EVIDCKPT"
 CKPT_VERSION = 1
@@ -109,8 +110,9 @@ class Model:
             params["head.b"] = np.zeros(shape["head.b"], dtype=dtype)
         return cls(backbone_config, head, params)
 
-    def forward(self, x: np.ndarray, trainable: bool = False) -> tc.Tensor:
-        """(N, 2, X, Y, Z) input -> (N, 3, X, Y, Z) mass map tensor.
+    def forward(self, x: np.ndarray, trainable: bool = False):
+        """(N, 2, X, Y, Z) input -> ((N, 3, X, Y, Z) mass map tensor, leaves),
+        where `leaves` maps each parameter name to its tape leaf.
 
         The softmax head emits pseudo-masses (p_a, p_b, 0) so both heads
         share the decision and metric paths.
@@ -209,14 +211,13 @@ def sample_patch(x: np.ndarray, g: np.ndarray, patch_dims, rng,
 # -- checkpointing ---------------------------------------------------------
 
 def save_checkpoint(path, model: Model, config: TrainConfig, epoch: int):
-    tensors, offset, blobs = [], 0, []
-    for name in sorted(model.params):
-        arr = np.ascontiguousarray(model.params[name], dtype="<f4")
-        tensors.append({"name": name, "shape": list(arr.shape),
-                        "offset": offset})
-        blobs.append(arr.tobytes())
-        offset += arr.nbytes
-    header = json.dumps({
+    names = sorted(model.params)
+    tensors, offset = [], 0
+    for name in names:
+        shape = list(model.params[name].shape)
+        tensors.append({"name": name, "shape": shape, "offset": offset})
+        offset += 4 * math.prod(shape)
+    write_framed(path, CKPT_MAGIC, {
         "version": CKPT_VERSION,
         "epoch": epoch,
         "head": model.head,
@@ -224,96 +225,83 @@ def save_checkpoint(path, model: Model, config: TrainConfig, epoch: int):
         "in_channels": model.backbone_config.in_channels,
         "config": {**config.__dict__, "patch_dims": list(config.patch_dims)},
         "tensors": tensors,
-    }).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CKPT_MAGIC)
-        f.write(struct.pack("<I", len(header)))
-        f.write(header)
-        for b in blobs:
-            f.write(b)
+    }, [model.params[name] for name in names])
 
 
 def load_checkpoint(path):
-    with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:8] != CKPT_MAGIC:
-        raise ValueError(f"{path}: bad checkpoint magic")
-    (hlen,) = struct.unpack("<I", raw[8:12])
-    header = json.loads(raw[12:12 + hlen].decode("utf-8"))
-    if header["version"] != CKPT_VERSION:
+    header, blob = read_framed(path, CKPT_MAGIC)
+    if header.get("version") != CKPT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version "
-                         f"{header['version']}")
-    blob = raw[12 + hlen:]
-    params = {}
-    for spec in header["tensors"]:
-        shape = tuple(spec["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = spec["offset"]
-        end = start + 4 * count
+                         f"{header.get('version')}")
+    try:
+        config = TrainConfig(**header["config"])
+        backbone_config = bb.BackboneConfig(
+            channels=tuple(header["backbone_channels"]),
+            in_channels=header["in_channels"])
+        head, epoch = header["head"], header["epoch"]
+        manifest = [(t["name"], t["offset"]) for t in header["tensors"]]
+        found = {t["name"]: tuple(t["shape"]) for t in header["tensors"]}
+    except (KeyError, TypeError, ValueError) as e:
+        raise ValueError(f"{path}: malformed checkpoint header: {e!r}") from None
+    shapes = _expected_shapes(path, head, backbone_config, config.prototypes,
+                              found)
+    # save_checkpoint lays the tensors back to back in manifest order
+    params, offset = {}, 0
+    for name, start in manifest:
+        if name in params:
+            raise ValueError(f"{path}: tensor {name!r} listed twice")
+        if start != offset:
+            raise ValueError(f"{path}: tensor {name!r} at offset {start}, "
+                             f"expected {offset}")
+        end = offset + 4 * math.prod(shapes[name])
         if end > len(blob):
-            raise ValueError(f"{path}: blob truncated at tensor "
-                             f"{spec['name']!r}")
-        params[spec["name"]] = np.frombuffer(
-            blob[start:end], dtype="<f4").reshape(shape).copy()
-    if len(blob) != sum(4 * int(np.prod(t["shape"]))
-                        for t in header["tensors"]):
+            raise ValueError(f"{path}: blob truncated at tensor {name!r}")
+        params[name] = np.frombuffer(
+            blob[offset:end], dtype="<f4").reshape(shapes[name]).copy()
+        offset = end
+    if offset != len(blob):
         raise ValueError(f"{path}: blob length does not match manifest")
-    cfg_dict = dict(header["config"])
-    config = TrainConfig(**cfg_dict)
-    backbone_config = bb.BackboneConfig(
-        channels=tuple(header["backbone_channels"]),
-        in_channels=header["in_channels"])
-    model = Model(backbone_config, header["head"], params)
-    _validate_params(model, config.prototypes)
-    return model, config, header["epoch"]
+    return Model(backbone_config, head, params), config, epoch
 
 
-def _validate_params(model: Model, prototypes: int):
-    """Reject a head, or a set of tensor names and shapes, init never makes."""
-    if model.head not in HEADS:
-        raise ValueError(f"checkpoint has unknown head {model.head!r}")
+def _expected_shapes(path, head, backbone_config, prototypes, found: dict):
+    """The tensor shapes init makes for this model; rejects an unknown head
+    and a manifest (`found`, name -> shape) that differs from them."""
+    if head not in HEADS:
+        raise ValueError(f"{path}: checkpoint has unknown head {head!r}")
     expected = {}
-    for name, shape in bb._conv_shapes(model.backbone_config):
+    for name, shape in bb._conv_shapes(backbone_config):
         expected[f"{name}.w"] = shape
         expected[f"{name}.b"] = (shape[0],)
-    expected.update(head_shapes(model.head, model.backbone_config.feature_dim,
-                                prototypes))
+    expected.update(head_shapes(head, backbone_config.feature_dim, prototypes))
     for name, shape in expected.items():
-        if name not in model.params:
-            raise ValueError(f"checkpoint missing tensor {name!r}")
-        if model.params[name].shape != shape:
-            raise ValueError(
-                f"checkpoint tensor {name!r} has shape "
-                f"{model.params[name].shape}, expected {shape}")
-    extra = sorted(model.params.keys() - expected.keys())
+        if name not in found:
+            raise ValueError(f"{path}: checkpoint missing tensor {name!r}")
+        if found[name] != shape:
+            raise ValueError(f"{path}: checkpoint tensor {name!r} has shape "
+                             f"{found[name]}, expected {shape}")
+    extra = sorted(found.keys() - expected.keys())
     if extra:
-        raise ValueError(f"checkpoint has unexpected tensor(s) {extra}")
+        raise ValueError(f"{path}: checkpoint has unexpected tensor(s) {extra}")
+    return expected
 
 
 # -- training loop ---------------------------------------------------------
 
-def validation_stats(model: Model, val_data, dice_fn):
+def validation_stats(model: Model, val_data):
     """Mean binary Dice and mean ignorance mass over validation cases."""
     dices, ign = [], []
     for x, g in val_data:
         masses = model.predict_masses(x[None])[0]
         binary, _, _ = ev.decide(masses)
-        dices.append(dice_fn(binary, g))
+        dices.append(mx.compute_metrics(mx.confusion(binary, g))["dice"])
         ign.append(float(masses[..., ev.IGNORANCE].mean()))
     return float(np.mean(dices)), float(np.mean(ign))
 
 
-def _binary_dice(pred, truth):
-    inter = float((pred * truth).sum())
-    denom = float(pred.sum() + truth.sum())
-    if denom == 0:
-        return 1.0
-    return 2.0 * inter / denom
-
-
 def train(model: Model, train_cases, val_cases, config: TrainConfig,
           gradcheck_gate: bool = True, log_fn=None):
-    """Optimize `model` in place; returns (best_params, epoch_log).
+    """Optimize `model` in place; returns (best_params, best_epoch, epoch_log).
 
     The epoch log is a list of dicts with the loss breakdown, validation
     Dice and validation mean ignorance per epoch. Model selection is by
@@ -367,6 +355,10 @@ def train(model: Model, train_cases, val_cases, config: TrainConfig,
             grads = {k: (leaves[k].grad if leaves[k].grad is not None
                          else np.zeros_like(leaves[k].data))
                      for k in model.params}
+            bad = [k for k, g in grads.items() if not np.isfinite(g).all()]
+            if bad:
+                raise TrainingError(f"non-finite gradient at epoch {epoch}, "
+                                    f"step {t + 1}: {', '.join(bad)}")
             t += 1
             adam_step(model.params, grads, state, t, config)
             for k, v in breakdown.as_dict().items():
@@ -374,7 +366,7 @@ def train(model: Model, train_cases, val_cases, config: TrainConfig,
             n_batches += 1
         if model.head == "evidential":
             _assert_constraints(model.es_params())
-        val_dice, val_ign = validation_stats(model, val_data, _binary_dice)
+        val_dice, val_ign = validation_stats(model, val_data)
         record = {"epoch": epoch,
                   **{k: v / n_batches for k, v in sums.items()},
                   "val_dice": val_dice, "val_mean_ignorance": val_ign}

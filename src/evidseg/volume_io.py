@@ -1,4 +1,4 @@
-"""Volume data model, .evol file format, normalization, phantoms, splits.
+"""Volume data model, the framed file format, normalization, phantoms, splits.
 
 A volume is a 3D scalar grid stored row-major with index (x*Y + y)*Z + z.
 PET values are in SUV units, CT in Hounsfield units, masks are binary.
@@ -7,8 +7,7 @@ PET values are in SUV units, CT in Hounsfield units, masks are binary.
 from __future__ import annotations
 
 import json
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +19,7 @@ MODALITIES = ("PET", "CT", "MASK", "MAP")
 
 
 class VolumeFormatError(ValueError):
-    """Malformed .evol file or invalid volume contents."""
+    """Malformed .evol or .evckpt file, or invalid volume contents."""
 
 
 @dataclass
@@ -79,41 +78,70 @@ def normalize(v: Volume, spec: NormalizationSpec) -> Volume:
                   (v.voxels + spec.shift) * spec.scale)
 
 
-# -- .evol serialization ---------------------------------------------------
+# -- framed files: .evol volumes and .evckpt checkpoints -------------------
+
+def write_framed(path, magic: bytes, header: dict, arrays):
+    """Write `magic`, a little-endian u32 header length, the UTF-8 JSON
+    header, then each array as contiguous little-endian float32."""
+    head = json.dumps(header).encode("utf-8")
+    with open(path, "wb") as f:
+        f.write(magic)
+        f.write(len(head).to_bytes(4, "little"))
+        f.write(head)
+        for a in arrays:
+            f.write(np.ascontiguousarray(a, dtype="<f4").tobytes())
+
+
+def read_framed(path, magic: bytes):
+    """(header dict, payload bytes) of a file written by `write_framed`."""
+    with open(path, "rb") as f:
+        raw = f.read()
+    if raw[:8] != magic:
+        raise VolumeFormatError(f"{path}: bad magic")
+    # u32 header length; a file cut inside it fails the next check too
+    hlen = int.from_bytes(raw[8:12], "little")
+    if len(raw) < 12 + hlen:
+        raise VolumeFormatError(f"{path}: truncated header")
+    try:
+        header = json.loads(raw[12:12 + hlen].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise VolumeFormatError(f"{path}: undecodable header: {e}") from None
+    if not isinstance(header, dict):
+        raise VolumeFormatError(f"{path}: header is not a JSON object")
+    return header, raw[12 + hlen:]
+
+
+def _triple(value, types) -> bool:
+    # exact types, so that 2.0 and true do not pass as integers
+    return (isinstance(value, list) and len(value) == 3
+            and all(type(v) in types for v in value))
+
 
 def write_volume(v: Volume, path):
-    header = json.dumps({
+    write_framed(path, MAGIC, {
         "dims": list(v.dims),
         "spacing": list(v.spacing),
         "modality": v.modality,
         "dtype": "f32",
-    }).encode("utf-8")
-    payload = np.ascontiguousarray(v.voxels, dtype="<f4").tobytes()
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", len(header)))
-        f.write(header)
-        f.write(payload)
+    }, [v.voxels])
 
 
 def read_volume(path) -> Volume:
-    with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:8] != MAGIC:
-        raise VolumeFormatError(f"{path}: bad magic")
-    (hlen,) = struct.unpack("<I", raw[8:12])
-    if len(raw) < 12 + hlen:
-        raise VolumeFormatError(f"{path}: truncated header")
-    header = json.loads(raw[12:12 + hlen].decode("utf-8"))
-    dims = tuple(header["dims"])
+    header, payload = read_framed(path, MAGIC)
+    dims, spacing = header.get("dims"), header.get("spacing")
+    if not (_triple(dims, (int,)) and min(dims) > 0
+            and _triple(spacing, (int, float)) and header.get("dtype") == "f32"
+            and header.get("modality") in MODALITIES):
+        raise VolumeFormatError(
+            f"{path}: header needs three positive integer dims, three "
+            f"spacings, a modality in {MODALITIES} and dtype f32; got {header}")
     count = dims[0] * dims[1] * dims[2]
-    payload = raw[12 + hlen:]
     if len(payload) != 4 * count:
         raise VolumeFormatError(
             f"{path}: payload length mismatch "
             f"(expected {4 * count} bytes, got {len(payload)})")
     voxels = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
-    return Volume(dims, tuple(header["spacing"]), header["modality"], voxels)
+    return Volume(tuple(dims), tuple(spacing), header["modality"], voxels)
 
 
 def write_case(case: PatientCase, case_dir):

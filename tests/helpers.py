@@ -5,6 +5,9 @@ package: it combines mass functions pairwise over the explicit 4-element
 power set of a 2-class frame, renormalizing conflict at each step.
 """
 
+import json
+import struct
+
 import numpy as np
 
 # subsets of the frame {a, b} as bitmasks: 0 = empty, 1 = {a}, 2 = {b}, 3 = frame
@@ -50,3 +53,15 @@ def random_es_params(rng, prototypes=5, feature_dim=3):
         alpha_logits=rng.uniform(-4.0, 4.0, size=i),
         gamma_roots=rng.uniform(0.0, 1.5, size=i),
     )
+
+
+def rewrite_header(path, edit):
+    """Rewrite the JSON header of a framed file (.evol or .evckpt) in place
+    with `edit(header)`, keeping its magic and payload."""
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12:12 + hlen])
+    edit(header)
+    head = json.dumps(header).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<I", len(head)) + head
+                     + raw[12 + hlen:])

@@ -10,6 +10,7 @@ from evidseg.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from evidseg.config import SECTIONS, ConfigError, RunConfig
 from evidseg.trainer import TrainConfig, load_checkpoint, save_checkpoint
 from evidseg.volume_io import read_dataset, read_volume
+from helpers import rewrite_header
 
 # a valid value other than the default for every accepted key
 NON_DEFAULT = {
@@ -164,6 +165,23 @@ class TestTrainCommand:
         assert code == EXIT_CONFIG
         assert "learning_rat" in capsys.readouterr().err
 
+    def test_nonfinite_gradient_exit_code(self, dataset, tmp_path, capsys):
+        # alpha rounds to 1.0 in float32 and gamma 0 saturates every
+        # distance activation, so m(Omega) = 0 and the gradients are NaN
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "backbone": {"channels": [2, 4]},
+            "es": {"prototypes": 3, "alpha_init": 1 - 1e-9,
+                   "gamma_init": 0.0},
+            "train": {"epochs": 1, "patch_dims": [16, 16, 16]},
+        }))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            code = main(["train", "--config", str(config), "--data",
+                         str(dataset), "--out", str(tmp_path / "m"),
+                         "--skip-gradcheck"])
+        assert code == EXIT_NUMERIC
+        assert "non-finite gradient" in capsys.readouterr().err
+
     def test_rerun_same_seed_identical_log(self, dataset, tiny_run,
                                            tmp_path):
         config = tmp_path / "config.json"
@@ -232,6 +250,17 @@ class TestEvalCommand:
                      "--out", str(tmp_path / "e")])
         assert code == EXIT_CONFIG
         assert "es.gamma_roots" in capsys.readouterr().err
+
+    def test_checkpoint_without_head_exit_code(self, dataset, tiny_run,
+                                               tmp_path, capsys):
+        ckpt = tmp_path / "headless.evckpt"
+        ckpt.write_bytes(
+            (tiny_run / "model" / "checkpoint.evckpt").read_bytes())
+        rewrite_header(ckpt, lambda h: h.pop("head"))
+        code = main(["eval", "--ckpt", str(ckpt), "--data", str(dataset),
+                     "--out", str(tmp_path / "e")])
+        assert code == EXIT_CONFIG
+        assert "headless.evckpt" in capsys.readouterr().err
 
 
 class TestGradcheckCommand:

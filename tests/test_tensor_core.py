@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from evidseg.gradcheck import finite_difference_check
 from evidseg.tensor_core import (Graph, Tensor, TensorError, concat, conv3d,
-                                 finite_difference_check, maxpool3d,
-                                 upsample_nearest3d)
+                                 maxpool3d, upsample_nearest3d)
 
 
 def scalar_graph(build, leaves, inputs=None):

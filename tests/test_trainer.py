@@ -9,6 +9,7 @@ from evidseg.trainer import (Model, TrainConfig, TrainingError, adam_init,
                              prepare_case, sample_patch, save_checkpoint,
                              train)
 from evidseg.volume_io import generate_phantom
+from helpers import rewrite_header
 
 
 def tiny_config(**kw):
@@ -212,6 +213,60 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="bayesian"):
             load_checkpoint(path)
 
+    @pytest.fixture
+    def ckpt(self, tmp_path):
+        path = tmp_path / "m.evckpt"
+        save_checkpoint(path, tiny_model(), tiny_config(), epoch=1)
+        return path
+
+    @pytest.mark.parametrize("key", ["head", "version"])
+    def test_missing_header_key_rejected(self, ckpt, key):
+        rewrite_header(ckpt, lambda h: h.pop(key))
+        with pytest.raises(ValueError, match="m.evckpt"):
+            load_checkpoint(ckpt)
+
+    def test_unknown_config_key_rejected(self, ckpt):
+        rewrite_header(ckpt, lambda h: h["config"].update(warmup=3))
+        with pytest.raises(ValueError, match="warmup"):
+            load_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("size", [8, 10])
+    def test_file_shorter_than_twelve_bytes_rejected(self, ckpt, size):
+        ckpt.write_bytes(ckpt.read_bytes()[:size])
+        with pytest.raises(ValueError, match="m.evckpt"):
+            load_checkpoint(ckpt)
+
+    def test_swapped_equal_size_offsets_rejected(self, ckpt):
+        def swap(header):
+            by_name = {t["name"]: t for t in header["tensors"]}
+            a, b = by_name["enc0.conv0.b"], by_name["enc0.conv1.b"]
+            assert a["shape"] == b["shape"]
+            a["offset"], b["offset"] = b["offset"], a["offset"]
+
+        rewrite_header(ckpt, swap)
+        with pytest.raises(ValueError, match="offset"):
+            load_checkpoint(ckpt)
+
+    def test_duplicate_tensor_name_rejected(self, ckpt):
+        # the first tensor listed twice and the blob grown by its 8 bytes,
+        # so that only the repeated name is wrong
+        def duplicate(header):
+            tensors = header["tensors"]
+            assert tensors[0]["shape"] == [2]
+            tensors.insert(1, dict(tensors[0], offset=8))
+            for t in tensors[2:]:
+                t["offset"] += 8
+
+        rewrite_header(ckpt, duplicate)
+        ckpt.write_bytes(ckpt.read_bytes() + bytes(8))
+        with pytest.raises(ValueError, match="twice"):
+            load_checkpoint(ckpt)
+
+    def test_negative_offset_rejected(self, ckpt):
+        rewrite_header(ckpt, lambda h: h["tensors"][-1].update(offset=-4))
+        with pytest.raises(ValueError, match="offset -4"):
+            load_checkpoint(ckpt)
+
 
 class TestTrainLoop:
     def test_short_run_logs_and_improves_constraints(self):
@@ -248,6 +303,21 @@ class TestTrainLoop:
                           gradcheck_gate=False)
         assert len(log) == 1
         assert log[0]["loss_u"] == 0.0
+
+    def test_nonfinite_gradient_stops_training(self):
+        # sigmoid(18) rounds to 1.0 in float32 and gamma 0 makes every
+        # distance activation 1, so m(Omega) = 0 and the log in the loss
+        # has an infinite derivative: the loss is finite, the gradients NaN
+        config = tiny_config(epochs=1)
+        model = tiny_model(config=config)
+        model.params["es.alpha_logits"][:] = 18.0
+        model.params["es.gamma_roots"][:] = 0.0
+        cases = tiny_cases(3)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(TrainingError,
+                               match="epoch 1, step 1: .*es.alpha_logits"):
+                train(model, cases[:2], cases[2:], config,
+                      gradcheck_gate=False)
 
     def test_empty_split_rejected(self):
         with pytest.raises(TrainingError):

@@ -1,5 +1,8 @@
 """Volume format, normalization, phantom generation, dataset splitting."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,17 @@ def make_volume(rng, dims=(8, 8, 8), modality="PET"):
     if modality == "MASK":
         voxels = (voxels > 5).astype(np.float32)
     return Volume(dims, (4.0, 4.0, 4.0), modality, voxels)
+
+
+def evol_bytes(header, payload=b"\0" * 32):
+    """A .evol file built by hand, so headers the writer never makes can be
+    fed to the reader."""
+    head = json.dumps(header).encode("utf-8")
+    return b"EVIDVOL1" + struct.pack("<I", len(head)) + head + payload
+
+
+GOOD_HEADER = {"dims": [2, 2, 2], "spacing": [1.0, 1.0, 1.0],
+               "modality": "PET", "dtype": "f32"}
 
 
 class TestVolume:
@@ -106,6 +120,30 @@ class TestEvolFormat:
         write_volume(make_volume(rng), path)
         path.write_bytes(path.read_bytes()[:-7])
         with pytest.raises(VolumeFormatError, match="payload length"):
+            read_volume(path)
+
+    def test_hand_built_file_reads(self, tmp_path):
+        path = tmp_path / "v.evol"
+        path.write_bytes(evol_bytes(GOOD_HEADER))
+        assert read_volume(path).dims == (2, 2, 2)
+
+    @pytest.mark.parametrize("raw", [
+        evol_bytes({**GOOD_HEADER, "dims": [2.0, 2, 2]}),
+        evol_bytes({**GOOD_HEADER, "dims": [-2, -2, 2]}),
+        evol_bytes({**GOOD_HEADER, "dims": [4, 2]}),
+        evol_bytes({k: v for k, v in GOOD_HEADER.items() if k != "dims"}),
+        evol_bytes([2, 2, 2]),
+        evol_bytes({**GOOD_HEADER, "dtype": "f64"}),
+        b"EVIDVOL1\x05",
+        b"EVIDVOL1" + struct.pack("<I", 3) + b"{x}" + b"\0" * 32,
+        b"EVIDVOL1" + struct.pack("<I", 2) + b"\xff\xfe" + b"\0" * 32,
+    ], ids=["float-dims", "negative-dims", "two-axis-dims", "missing-dims",
+            "list-header", "dtype-f64", "nine-byte-file", "bad-json",
+            "bad-utf8"])
+    def test_malformed_header_is_format_error(self, tmp_path, raw):
+        path = tmp_path / "bad.evol"
+        path.write_bytes(raw)
+        with pytest.raises(VolumeFormatError, match="bad.evol"):
             read_volume(path)
 
     def test_case_round_trip(self, tmp_path):
