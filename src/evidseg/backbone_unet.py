@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import Tensor, concat, conv3d, maxpool3d, upsample_nearest3d
+from .tensor_core import (Tensor, as_tensor, concat, conv3d, maxpool3d,
+                          upsample_nearest3d)
 
 FULL_CHANNELS = (8, 16, 32, 64, 128)  # full-scale configuration
 DESK_CHANNELS = (4, 8, 16)            # desk-scale default
@@ -75,13 +76,9 @@ def init_backbone(config: BackboneConfig, seed: int, dtype=np.float64) -> dict:
     return params
 
 
-def _p(params, key):
-    v = params[key]
-    return v if isinstance(v, Tensor) else Tensor(v)
-
-
 def _block(params, name, x):
-    return conv3d(x, _p(params, f"{name}.w"), _p(params, f"{name}.b")).relu()
+    return conv3d(x, as_tensor(params[f"{name}.w"]),
+                  as_tensor(params[f"{name}.b"])).relu()
 
 
 def forward_features(params: dict, x: Tensor, config: BackboneConfig) -> Tensor:
@@ -100,7 +97,7 @@ def forward_features(params: dict, x: Tensor, config: BackboneConfig) -> Tensor:
         h = concat([h, skips[i]], axis=1)
         h = _block(params, f"dec{i}.conv0", h)
         h = _block(params, f"dec{i}.conv1", h)
-    return conv3d(h, _p(params, "final.w"), _p(params, "final.b"))
+    return conv3d(h, as_tensor(params["final.w"]), as_tensor(params["final.b"]))
 
 
 def concat_modalities(pet_voxels: np.ndarray, ct_voxels: np.ndarray) -> np.ndarray:

@@ -229,7 +229,7 @@ def main(argv=None):
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except (ConfigError, vio.VolumeFormatError, ValueError) as e:
+    except (ConfigError, vio.VolumeFormatError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except ArithmeticError as e:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_core import Tensor, concat
+from .tensor_core import Tensor, as_tensor, concat
 
 K = 2  # classes: lesion (a), background (b)
 LESION, BACKGROUND, IGNORANCE = 0, 1, 2  # last-axis order of mass arrays
@@ -69,13 +69,9 @@ class EsParams:
                 "es.gamma_roots": self.gamma_roots}
 
 
-def _t(v):
-    return v if isinstance(v, Tensor) else Tensor(v)
-
-
 def distance_activation(features: Tensor, prototypes, gamma_roots) -> Tensor:
     """s_i = exp(-gamma_i * d_i^2) for features (M, C) against (I, C) prototypes."""
-    f, p, eta = _t(features), _t(prototypes), _t(gamma_roots)
+    f, p, eta = map(as_tensor, (features, prototypes, gamma_roots))
     if f.shape[1] != p.shape[1]:
         raise ValueError(
             f"feature dim {f.shape[1]} != prototype dim {p.shape[1]}")
@@ -92,11 +88,8 @@ def bba(s: Tensor, membership_logits, alpha_logits):
     Returns (singleton masses (M, I, K), ignorance masses (M, I)); the
     three masses of each prototype sum to 1 by construction.
     """
-    mlog, alog = _t(membership_logits), _t(alpha_logits)
-    shift = mlog.data.max(axis=1, keepdims=True)  # constant; softmax shift-invariant
-    e = (mlog - shift).exp()
-    u = e / e.sum(axis=1, keepdims=True)          # (I, K)
-    alpha = alog.sigmoid()                         # (I,)
+    u = as_tensor(membership_logits).softmax(axis=1)  # (I, K)
+    alpha = as_tensor(alpha_logits).sigmoid()         # (I,)
     m, i = s.shape
     alpha_s = s * alpha.reshape(1, -1)             # (M, I)
     m_sing = alpha_s.reshape(m, i, 1) * u.reshape(1, i, K)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .evidential_head import IGNORANCE, LESION
-from .tensor_core import Tensor
+from .tensor_core import Tensor, as_tensor
 
 DICE_EPS = 1e-6
 DICE_MODES = ("pignistic", "singleton")
@@ -30,16 +30,12 @@ class LossBreakdown:
                 "loss_reg": self.loss_reg, "total": self.total}
 
 
-def _t(v):
-    return v if isinstance(v, Tensor) else Tensor(v)
-
-
 def dice_loss(s, g) -> Tensor:
     """1 - 2*sum(S*G)/(sum(S)+sum(G)), smoothed by eps in both terms.
 
     S and G are (batch, voxels); the loss is averaged over batch items.
     """
-    s, g = _t(s), _t(g)
+    s, g = as_tensor(s), as_tensor(g)
     if s.shape != g.shape:
         raise ValueError(f"shape mismatch: S {s.shape} vs G {g.shape}")
     inter = (s * g).sum(axis=1)
@@ -50,7 +46,7 @@ def dice_loss(s, g) -> Tensor:
 
 def uncertainty_loss(m_omega) -> Tensor:
     """Mean squared ignorance mass over all voxels."""
-    m_omega = _t(m_omega)
+    m_omega = as_tensor(m_omega)
     if m_omega.data.size == 0:
         raise ValueError("empty mass map")
     return (m_omega * m_omega).mean()
@@ -60,7 +56,8 @@ def total_loss(mass_map: Tensor, g: np.ndarray, alpha_logits,
                lam: float = 1e-5, dice_mode: str = "pignistic"):
     """Full objective for a (N, 3, X, Y, Z) mass tensor and binary truth G.
 
-    Returns (total Tensor, LossBreakdown of floats).
+    `alpha_logits` is None for a head without evidence strengths; its L1
+    term is then 0. Returns (total Tensor, LossBreakdown of floats).
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
@@ -70,8 +67,9 @@ def total_loss(mass_map: Tensor, g: np.ndarray, alpha_logits,
     m_omega = channel(mass_map, IGNORANCE)
     loss_d = dice_loss(s, g_flat)
     loss_u = uncertainty_loss(m_omega)
-    alpha = _t(alpha_logits).sigmoid()
-    loss_reg = lam * alpha.sum()  # alpha > 0, so the L1 norm is a plain sum
+    # alpha > 0, so the L1 norm is a plain sum
+    loss_reg = (as_tensor(0.0, mass_map.dtype) if alpha_logits is None
+                else lam * as_tensor(alpha_logits).sigmoid().sum())
     total = loss_d + loss_u + loss_reg
     breakdown = LossBreakdown(float(loss_d.data), float(loss_u.data),
                               float(loss_reg.data), float(total.data))

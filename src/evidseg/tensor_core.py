@@ -1,9 +1,10 @@
 """Dense nd-arrays with reverse-mode differentiation.
 
 Only the operation set needed by the segmentation model is implemented:
-elementwise arithmetic, exp/log, rectifier, logistic squashing, reductions,
-matmul, channel concatenation, 3D convolution (kernel 1 or 3, stride 1,
-same padding), 2x max-pooling and 2x nearest-neighbour upsampling.
+elementwise arithmetic, exp/log, rectifier, logistic squashing, softmax (a
+composite of these), reductions, matmul, channel concatenation, 3D convolution
+(kernel 1 or 3, stride 1, same padding), 2x max-pooling and 2x nearest-neighbour
+upsampling. `as_tensor` turns any other operand into a constant Tensor.
 
 Layout is row-major with the last index varying fastest, matching the
 volume file format. Gradient checking always runs in float64; float32 is
@@ -53,6 +54,11 @@ def track_patterns(enable: bool):
     _PATTERNS.clear()
 
 
+def as_tensor(x, dtype=None):
+    """`x` itself if it is a Tensor, else a constant Tensor of it."""
+    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=dtype))
+
+
 class Tensor:
     """A dense array plus the tape entry that produced it."""
 
@@ -80,12 +86,6 @@ class Tensor:
     # -- graph construction ------------------------------------------------
 
     @staticmethod
-    def _lift(x, dtype):
-        if isinstance(x, Tensor):
-            return x
-        return Tensor(np.asarray(x, dtype=dtype))
-
-    @staticmethod
     def _make(data, op, prev, backward):
         """Tape node for `data`; keeps `backward` only if a parent needs it."""
         out = Tensor(data, op=op, prev=tuple(prev))
@@ -97,7 +97,7 @@ class Tensor:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        other = self._lift(other, self.dtype)
+        other = as_tensor(other, self.dtype)
 
         def backward(g):
             return (_unbroadcast(g, self.shape), _unbroadcast(g, other.shape))
@@ -110,7 +110,7 @@ class Tensor:
         return self._make(-self.data, "neg", (self,), lambda g: (-g,))
 
     def __sub__(self, other):
-        other = self._lift(other, self.dtype)
+        other = as_tensor(other, self.dtype)
 
         def backward(g):
             return (_unbroadcast(g, self.shape), _unbroadcast(-g, other.shape))
@@ -118,10 +118,10 @@ class Tensor:
         return self._make(self.data - other.data, "sub", (self, other), backward)
 
     def __rsub__(self, other):
-        return self._lift(other, self.dtype) - self
+        return as_tensor(other, self.dtype) - self
 
     def __mul__(self, other):
-        other = self._lift(other, self.dtype)
+        other = as_tensor(other, self.dtype)
 
         def backward(g):
             return (_unbroadcast(g * other.data, self.shape),
@@ -132,7 +132,7 @@ class Tensor:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._lift(other, self.dtype)
+        other = as_tensor(other, self.dtype)
 
         def backward(g):
             return (_unbroadcast(g / other.data, self.shape),
@@ -141,7 +141,7 @@ class Tensor:
         return self._make(self.data / other.data, "div", (self, other), backward)
 
     def __rtruediv__(self, other):
-        return self._lift(other, self.dtype) / self
+        return as_tensor(other, self.dtype) / self
 
     def __pow__(self, n):
         if not isinstance(n, (int, float)):
@@ -173,6 +173,11 @@ class Tensor:
         out_data = 1.0 / (1.0 + np.exp(-self.data))
         return self._make(out_data, "sigmoid", (self,),
                           lambda g: (g * out_data * (1.0 - out_data),))
+
+    def softmax(self, axis):
+        # the max shift is a constant: softmax is shift-invariant
+        e = (self - self.data.max(axis=axis, keepdims=True)).exp()
+        return e / e.sum(axis=axis, keepdims=True)
 
     # -- reductions and reshaping -----------------------------------------
 
@@ -211,7 +216,7 @@ class Tensor:
         return self._make(self.data.transpose(axes), "transpose", (self,), backward)
 
     def __matmul__(self, other):
-        other = self._lift(other, self.dtype)
+        other = as_tensor(other, self.dtype)
         if self.data.ndim != 2 or other.data.ndim != 2:
             raise TensorError("matmul expects 2-D operands")
 

@@ -81,6 +81,16 @@ def init_es_params(config: TrainConfig, feature_dim: int, seed: int,
     )
 
 
+def softmax_forward(features: tc.Tensor, params) -> tc.Tensor:
+    """Softmax baseline head: features (N, C, X, Y, Z) -> pseudo-masses
+    (p_a, p_b, m(Omega) = 0) shaped like the output of `ev.es_forward`."""
+    logits = tc.conv3d(features, tc.as_tensor(params["head.w"]),
+                       tc.as_tensor(params["head.b"]))
+    p = logits.softmax(axis=1)
+    zero = tc.Tensor(np.zeros((p.shape[0], 1) + p.shape[2:], dtype=p.dtype))
+    return tc.concat([p, zero], axis=1)
+
+
 # -- model wrapper ---------------------------------------------------------
 
 @dataclass
@@ -112,25 +122,14 @@ class Model:
 
     def forward(self, x: np.ndarray, trainable: bool = False):
         """(N, 2, X, Y, Z) input -> ((N, 3, X, Y, Z) mass map tensor, leaves),
-        where `leaves` maps each parameter name to its tape leaf.
-
-        The softmax head emits pseudo-masses (p_a, p_b, 0) so both heads
-        share the decision and metric paths.
-        """
+        where `leaves` maps each parameter name to its tape leaf."""
         leaves = {k: tc.Tensor(v, requires_grad=trainable)
                   for k, v in self.params.items()}
-        xt = tc.Tensor(np.asarray(x, dtype=self.dtype))
+        xt = tc.as_tensor(x, self.dtype)
         feats = bb.forward_features(leaves, xt, self.backbone_config)
-        if self.head == "evidential":
-            out = ev.es_forward(feats, leaves)
-        else:
-            logits = tc.conv3d(feats, leaves["head.w"], leaves["head.b"])
-            shift = logits.data.max(axis=1, keepdims=True)
-            e = (logits - shift).exp()
-            p = e / e.sum(axis=1, keepdims=True)
-            zero = tc.Tensor(np.zeros((x.shape[0], 1) + x.shape[2:], dtype=self.dtype))
-            out = tc.concat([p, zero], axis=1)
-        return out, leaves
+        # looked up per call, so a function patched on its module is seen
+        head = ev.es_forward if self.head == "evidential" else softmax_forward
+        return head(feats, leaves), leaves
 
     @property
     def dtype(self):
@@ -337,16 +336,9 @@ def train(model: Model, train_cases, val_cases, config: TrainConfig,
             xb = np.stack(xs)
             gb = np.stack(gs)
             out, leaves = model.forward(xb, trainable=True)
-            if model.head == "evidential":
-                total, breakdown = obj.total_loss(
-                    out, gb, leaves["es.alpha_logits"],
-                    lam=config.lam, dice_mode=config.dice_mode)
-            else:
-                n = out.shape[0]
-                s = obj.lesion_map(out, "singleton").reshape(n, -1)
-                total = obj.dice_loss(s, gb.reshape(n, -1))
-                breakdown = obj.LossBreakdown(
-                    float(total.data), 0.0, 0.0, float(total.data))
+            total, breakdown = obj.total_loss(
+                out, gb, leaves.get("es.alpha_logits"),
+                lam=config.lam, dice_mode=config.dice_mode)
             if not np.isfinite(total.data):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, step {t + 1}: "

@@ -144,24 +144,39 @@ def read_volume(path) -> Volume:
     return Volume(tuple(dims), tuple(spacing), header["modality"], voxels)
 
 
+# PatientCase field -> the modality of its <field>.evol file in a case dir
+CASE_VOLUMES = {"pet": "PET", "ct": "CT", "mask": "MASK"}
+
+
 def write_case(case: PatientCase, case_dir):
     case_dir = Path(case_dir)
     case_dir.mkdir(parents=True, exist_ok=True)
-    write_volume(case.pet, case_dir / "pet.evol")
-    write_volume(case.ct, case_dir / "ct.evol")
-    write_volume(case.mask, case_dir / "mask.evol")
+    for name in CASE_VOLUMES:
+        write_volume(getattr(case, name), case_dir / f"{name}.evol")
     (case_dir / "case.json").write_text(json.dumps({"id": case.id}))
+
+
+def _read_json(path):
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise VolumeFormatError(f"{path}: undecodable JSON: {e}") from None
 
 
 def read_case(case_dir) -> PatientCase:
     case_dir = Path(case_dir)
-    meta = json.loads((case_dir / "case.json").read_text())
-    return PatientCase(
-        id=meta["id"],
-        pet=read_volume(case_dir / "pet.evol"),
-        ct=read_volume(case_dir / "ct.evol"),
-        mask=read_volume(case_dir / "mask.evol"),
-    )
+    meta = _read_json(case_dir / "case.json")
+    if not (isinstance(meta, dict) and isinstance(meta.get("id"), str)):
+        raise VolumeFormatError(
+            f"{case_dir / 'case.json'}: needs an object with a string id")
+    volumes = {}
+    for name, modality in CASE_VOLUMES.items():
+        path = case_dir / f"{name}.evol"
+        v = volumes[name] = read_volume(path)
+        if v.modality != modality:
+            raise VolumeFormatError(
+                f"{path}: {v.modality} volume, expected {modality}")
+    return PatientCase(id=meta["id"], **volumes)
 
 
 # -- synthetic PET/CT phantom ---------------------------------------------
@@ -253,7 +268,12 @@ def read_dataset(data_dir):
     manifest = data_dir / "splits.json"
     if not manifest.exists():
         raise VolumeFormatError(f"{data_dir}: missing splits.json")
-    splits = json.loads(manifest.read_text())
+    splits = _read_json(manifest)
+    if not (isinstance(splits, dict) and all(
+            isinstance(ids, list) and all(isinstance(c, str) for c in ids)
+            for ids in splits.values())):
+        raise VolumeFormatError(
+            f"{manifest}: must map each split name to a list of case ids")
     cases = {}
     for ids in splits.values():
         for cid in ids:

@@ -263,6 +263,19 @@ class TestEvalCommand:
         assert "headless.evckpt" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "train", "predict"])
+def test_missing_file_exit_code(dataset, tmp_path, capsys, command):
+    missing = str(tmp_path / "missing")
+    case = str(dataset / read_dataset(dataset)[1]["test"][0])
+    argv = {"eval": ["eval", "--ckpt", missing, "--data", str(dataset)],
+            "train": ["train", "--config", missing, "--data", str(dataset)],
+            "predict": ["predict", "--ckpt", missing, "--case", case]}
+    code = main(argv[command] + ["--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and missing in err
+
+
 class TestGradcheckCommand:
     def test_small_clean_run_passes(self, capsys):
         code = main(["gradcheck", "--instances", "1"])

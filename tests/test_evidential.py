@@ -27,6 +27,12 @@ class TestEsParams:
         np.testing.assert_allclose(es.memberships.sum(axis=1), 1.0,
                                    atol=1e-12)
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_tensor_softmax_is_memberships(self, seed):
+        es = random_es_params(np.random.default_rng(seed), prototypes=7)
+        u = Tensor(es.membership_logits).softmax(axis=1).data
+        np.testing.assert_array_equal(u, es.memberships)
+
     def test_alphas_in_open_unit_interval(self):
         es = random_es_params(np.random.default_rng(1))
         assert np.all(es.alphas > 0) and np.all(es.alphas < 1)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from evidseg.backbone_unet import BackboneConfig
+from evidseg.objectives import dice_loss, lesion_map, total_loss
 from evidseg.trainer import (Model, TrainConfig, TrainingError, adam_init,
                              adam_step, init_es_params, load_checkpoint,
                              prepare_case, sample_patch, save_checkpoint,
@@ -303,6 +304,41 @@ class TestTrainLoop:
                           gradcheck_gate=False)
         assert len(log) == 1
         assert log[0]["loss_u"] == 0.0
+
+    @pytest.mark.parametrize("dice_mode", ["pignistic", "singleton"])
+    def test_softmax_objective_is_plain_dice(self, dice_mode):
+        # m(Omega) = 0, so the shared objective reduces exactly to the
+        # Dice loss of m({a}); gradients must match bit for bit
+        model = tiny_model(head="softmax")
+        model.params = {k: v.astype(np.float64)
+                        for k, v in model.params.items()}
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((2, 2, 16, 16, 16))
+        g = (rng.random((2, 16, 16, 16)) < 0.2).astype(np.float64)
+        out, leaves = model.forward(x, trainable=True)
+        total, br = total_loss(out, g, None, lam=1e-3, dice_mode=dice_mode)
+        assert br.loss_u == br.loss_reg == 0.0
+        assert br.total == br.loss_d == float(total.data)
+        total.backward()
+        ref_out, ref_leaves = model.forward(x, trainable=True)
+        ref = dice_loss(lesion_map(ref_out, "singleton").reshape(2, -1),
+                        g.reshape(2, -1))
+        assert float(ref.data) == br.loss_d
+        ref.backward()
+        for name in ("head.w", "head.b", "enc0.conv0.w"):
+            np.testing.assert_array_equal(leaves[name].grad,
+                                          ref_leaves[name].grad)
+
+    def test_softmax_log_ignores_dice_mode_and_lambda(self):
+        cases = tiny_cases(3)
+        logs = []
+        for kw in ({"dice_mode": "pignistic"},
+                   {"dice_mode": "singleton", "lam": 0.1}):
+            config = tiny_config(epochs=1, **kw)
+            model = tiny_model(head="softmax", config=config)
+            logs.append(train(model, cases[:2], cases[2:], config,
+                              gradcheck_gate=False)[2])
+        assert logs[0] == logs[1]
 
     def test_nonfinite_gradient_stops_training(self):
         # sigmoid(18) rounds to 1.0 in float32 and gamma 0 makes every

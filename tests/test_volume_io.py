@@ -238,6 +238,31 @@ class TestDatasetDir:
         assert back_splits == splits
         assert set(back_cases) == {c.id for c in cases}
 
+    @pytest.mark.parametrize("name,damage", [
+        ("case.json", lambda ds, c: (ds / c / "case.json").write_text("{}")),
+        ("splits.json",
+         lambda ds, c: (ds / "splits.json").write_text(json.dumps([c]))),
+        ("splits.json", lambda ds, c: (ds / "splits.json").write_text(
+            json.dumps({"train": c}))),
+        ("splits.json",
+         lambda ds, c: (ds / "splits.json").write_bytes(b"\xff{")),
+        ("case.json",
+         lambda ds, c: (ds / c / "case.json").write_text("{not json")),
+        ("pet.evol", lambda ds, c: (ds / c / "pet.evol").write_bytes(
+            (ds / c / "ct.evol").read_bytes())),
+        ("mask.evol", lambda ds, c: (ds / c / "mask.evol").write_bytes(
+            (ds / c / "pet.evol").read_bytes())),
+    ], ids=["case-without-id", "splits-list", "split-string",
+            "splits-undecodable", "case-undecodable", "ct-as-pet",
+            "pet-as-mask"])
+    def test_malformed_dataset_names_file(self, tmp_path, name, damage):
+        case = generate_phantom(0, (16, 16, 16), (1, 2))
+        case.id = "c"
+        write_dataset([case], {"train": ["c"]}, tmp_path)
+        damage(tmp_path, "c")
+        with pytest.raises(VolumeFormatError, match=name):
+            read_dataset(tmp_path)
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(VolumeFormatError, match="splits.json"):
             read_dataset(tmp_path)
