@@ -18,12 +18,12 @@ from .tensor_core import (Tensor, as_tensor, concat, conv3d, maxpool3d,
 
 FULL_CHANNELS = (8, 16, 32, 64, 128)  # full-scale configuration
 DESK_CHANNELS = (4, 8, 16)            # desk-scale default
+IN_CHANNELS = 2                       # PET and CT, stacked
 
 
 @dataclass
 class BackboneConfig:
     channels: tuple = DESK_CHANNELS
-    in_channels: int = 2
 
     def __post_init__(self):
         self.channels = tuple(int(c) for c in self.channels)
@@ -54,7 +54,7 @@ def _conv_shapes(config: BackboneConfig):
     """Yield (name, weight_shape) for every conv in the network."""
     ch = config.channels
     for i in range(config.levels):
-        cin = config.in_channels if i == 0 else ch[i - 1]
+        cin = IN_CHANNELS if i == 0 else ch[i - 1]
         yield f"enc{i}.conv0", (ch[i], cin, 3, 3, 3)
         yield f"enc{i}.conv1", (ch[i], ch[i], 3, 3, 3)
     for i in range(config.levels - 2, -1, -1):
@@ -82,7 +82,7 @@ def _block(params, name, x):
 
 
 def forward_features(params: dict, x: Tensor, config: BackboneConfig) -> Tensor:
-    """(N, in_channels, X, Y, Z) -> (N, channels[0], X, Y, Z)."""
+    """(N, IN_CHANNELS, X, Y, Z) -> (N, channels[0], X, Y, Z)."""
     config.check_dims(x.shape[2:])
     skips = []
     h = x

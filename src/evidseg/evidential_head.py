@@ -39,14 +39,6 @@ class EsParams:
         if self.alpha_logits.shape != (i,) or self.gamma_roots.shape != (i,):
             raise ValueError("alpha/gamma shape mismatch")
 
-    @property
-    def prototype_count(self):
-        return self.prototypes.shape[0]
-
-    @property
-    def feature_dim(self):
-        return self.prototypes.shape[1]
-
     # constrained views (numpy, for inspection and logging)
     @property
     def memberships(self):

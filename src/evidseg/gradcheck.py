@@ -278,7 +278,7 @@ def case_dice_loss_singleton(rng):
 
 def case_uncertainty_loss(rng):
     def loss(masses, lv, iv):
-        return obj.uncertainty_loss(obj.channel(masses, ev.IGNORANCE))
+        return obj.uncertainty_loss(masses[:, ev.IGNORANCE])
 
     return _es_volume_graph(rng, loss)
 

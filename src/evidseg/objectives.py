@@ -64,9 +64,8 @@ def total_loss(mass_map: Tensor, g: np.ndarray, alpha_logits,
     n = mass_map.shape[0]
     s = lesion_map(mass_map, dice_mode).reshape(n, -1)
     g_flat = np.asarray(g, dtype=mass_map.dtype).reshape(n, -1)
-    m_omega = channel(mass_map, IGNORANCE)
     loss_d = dice_loss(s, g_flat)
-    loss_u = uncertainty_loss(m_omega)
+    loss_u = uncertainty_loss(mass_map[:, IGNORANCE])
     # alpha > 0, so the L1 norm is a plain sum
     loss_reg = (as_tensor(0.0, mass_map.dtype) if alpha_logits is None
                 else lam * as_tensor(alpha_logits).sigmoid().sum())
@@ -76,22 +75,11 @@ def total_loss(mass_map: Tensor, g: np.ndarray, alpha_logits,
     return total, breakdown
 
 
-def channel(mass_map: Tensor, idx: int) -> Tensor:
-    """Select one mass channel of (N, 3, X, Y, Z) differentiably."""
-    n = mass_map.shape[0]
-    spatial = mass_map.shape[2:]
-    flat = mass_map.transpose(1, 0, 2, 3, 4).reshape(3, -1)
-    sel = np.zeros((1, 3), dtype=mass_map.dtype)
-    sel[0, idx] = 1.0
-    picked = (Tensor(sel) @ flat).reshape(n, *spatial)
-    return picked
-
-
 def lesion_map(mass_map: Tensor, mode: str = "pignistic") -> Tensor:
     """Soft lesion probability S from a (N, 3, X, Y, Z) mass tensor."""
     if mode not in DICE_MODES:
         raise ValueError(f"unknown dice mode {mode!r}")
-    m_a = channel(mass_map, LESION)
+    m_a = mass_map[:, LESION]
     if mode == "singleton":
         return m_a
-    return m_a + 0.5 * channel(mass_map, IGNORANCE)
+    return m_a + 0.5 * mass_map[:, IGNORANCE]

@@ -2,9 +2,10 @@
 
 Only the operation set needed by the segmentation model is implemented:
 elementwise arithmetic, exp/log, rectifier, logistic squashing, softmax (a
-composite of these), reductions, matmul, channel concatenation, 3D convolution
-(kernel 1 or 3, stride 1, same padding), 2x max-pooling and 2x nearest-neighbour
-upsampling. `as_tensor` turns any other operand into a constant Tensor.
+composite of these), reductions, matmul, basic indexing (ints, slices,
+Ellipsis), channel concatenation, 3D convolution (kernel 1 or 3, stride 1,
+same padding), 2x max-pooling and 2x nearest-neighbour upsampling.
+`as_tensor` turns any other operand into a constant Tensor.
 
 Layout is row-major with the last index varying fastest, matching the
 volume file format. Gradient checking always runs in float64; float32 is
@@ -140,9 +141,6 @@ class Tensor:
 
         return self._make(self.data / other.data, "div", (self, other), backward)
 
-    def __rtruediv__(self, other):
-        return as_tensor(other, self.dtype) / self
-
     def __pow__(self, n):
         if not isinstance(n, (int, float)):
             raise TensorError("only constant exponents are supported")
@@ -182,11 +180,10 @@ class Tensor:
     # -- reductions and reshaping -----------------------------------------
 
     def sum(self, axis=None, keepdims=False):
+        # a read-only view suffices: backward adds it into an array of its own
         def backward(g):
-            if axis is None:
-                return (np.broadcast_to(g, self.shape).copy(),)
-            ga = g if keepdims else np.expand_dims(g, axis)
-            return (np.broadcast_to(ga, self.shape).copy(),)
+            ga = g if keepdims or axis is None else np.expand_dims(g, axis)
+            return (np.broadcast_to(ga, self.shape),)
 
         return self._make(self.data.sum(axis=axis, keepdims=keepdims),
                           "sum", (self,), backward)
@@ -197,23 +194,33 @@ class Tensor:
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / float(n))
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-
         def backward(g):
             return (g.reshape(self.shape),)
 
         return self._make(self.data.reshape(shape), "reshape", (self,), backward)
 
     def transpose(self, *axes):
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
         inv = np.argsort(axes)
 
         def backward(g):
             return (g.transpose(inv),)
 
         return self._make(self.data.transpose(axes), "transpose", (self,), backward)
+
+    def __getitem__(self, index):
+        # basic indexing only: the scatter below would drop repeated indices
+        key = index if isinstance(index, tuple) else (index,)
+        if not all(isinstance(k, (int, np.integer, slice, type(Ellipsis)))
+                   for k in key):
+            raise TensorError(f"only ints, slices and Ellipsis index a "
+                              f"Tensor, got {index!r}")
+
+        def backward(g):
+            full = np.zeros_like(self.data)
+            full[index] = g
+            return (full,)
+
+        return self._make(self.data[index], "getitem", (self,), backward)
 
     def __matmul__(self, other):
         other = as_tensor(other, self.dtype)
@@ -368,17 +375,15 @@ class Graph:
         self.build = build
         self.dtype = np.dtype(dtype)
         self.leaves = {k: np.asarray(v, dtype=self.dtype) for k, v in leaves.items()}
-        self._inputs = None
         self._output = None
         self._leaf_tensors = None
         self.last_pattern = ()
 
     def forward_eval(self, inputs: dict | None = None) -> float:
-        self._inputs = {k: np.asarray(v, dtype=self.dtype)
-                        for k, v in (inputs or {}).items()}
         self._leaf_tensors = {k: Tensor(v, requires_grad=True)
                               for k, v in self.leaves.items()}
-        in_tensors = {k: Tensor(v) for k, v in self._inputs.items()}
+        in_tensors = {k: Tensor(np.asarray(v, dtype=self.dtype))
+                      for k, v in (inputs or {}).items()}
         if _TRACK_PATTERNS:
             _PATTERNS.clear()
         out = self.build(self._leaf_tensors, in_tensors)

@@ -221,7 +221,7 @@ def save_checkpoint(path, model: Model, config: TrainConfig, epoch: int):
         "epoch": epoch,
         "head": model.head,
         "backbone_channels": list(model.backbone_config.channels),
-        "in_channels": model.backbone_config.in_channels,
+        "in_channels": bb.IN_CHANNELS,
         "config": {**config.__dict__, "patch_dims": list(config.patch_dims)},
         "tensors": tensors,
     }, [model.params[name] for name in names])
@@ -235,13 +235,16 @@ def load_checkpoint(path):
     try:
         config = TrainConfig(**header["config"])
         backbone_config = bb.BackboneConfig(
-            channels=tuple(header["backbone_channels"]),
-            in_channels=header["in_channels"])
+            channels=tuple(header["backbone_channels"]))
+        in_channels = header["in_channels"]
         head, epoch = header["head"], header["epoch"]
         manifest = [(t["name"], t["offset"]) for t in header["tensors"]]
         found = {t["name"]: tuple(t["shape"]) for t in header["tensors"]}
     except (KeyError, TypeError, ValueError) as e:
         raise ValueError(f"{path}: malformed checkpoint header: {e!r}") from None
+    if in_channels != bb.IN_CHANNELS:
+        raise ValueError(f"{path}: in_channels {in_channels!r}, expected "
+                         f"{bb.IN_CHANNELS} (PET and CT)")
     shapes = _expected_shapes(path, head, backbone_config, config.prototypes,
                               found)
     # save_checkpoint lays the tensors back to back in manifest order

@@ -7,6 +7,7 @@ PET values are in SUV units, CT in Hounsfield units, masks are binary.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -82,14 +83,28 @@ def normalize(v: Volume, spec: NormalizationSpec) -> Volume:
 
 def write_framed(path, magic: bytes, header: dict, arrays):
     """Write `magic`, a little-endian u32 header length, the UTF-8 JSON
-    header, then each array as contiguous little-endian float32."""
+    header, then each array as contiguous little-endian float32.
+
+    The bytes go to a temporary file in the same directory, which is synced
+    and then renamed onto `path`; so `path` holds either its old contents or
+    the whole new file, and a failed write leaves no temporary file behind.
+    """
     head = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(magic)
-        f.write(len(head).to_bytes(4, "little"))
-        f.write(head)
-        for a in arrays:
-            f.write(np.ascontiguousarray(a, dtype="<f4").tobytes())
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(magic)
+            f.write(len(head).to_bytes(4, "little"))
+            f.write(head)
+            for a in arrays:
+                f.write(np.ascontiguousarray(a, dtype="<f4").tobytes())
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_framed(path, magic: bytes):
@@ -263,7 +278,8 @@ def write_dataset(cases: list, splits: dict, out_dir):
 
 
 def read_dataset(data_dir):
-    """Returns ({case_id: PatientCase}, {split_name: [case_id]})."""
+    """Returns ({case_id: PatientCase}, {split_name: [case_id]}); the
+    splits must be disjoint and list each case once."""
     data_dir = Path(data_dir)
     manifest = data_dir / "splits.json"
     if not manifest.exists():
@@ -274,12 +290,15 @@ def read_dataset(data_dir):
             for ids in splits.values())):
         raise VolumeFormatError(
             f"{manifest}: must map each split name to a list of case ids")
-    cases = {}
-    for ids in splits.values():
+    split_of = {}  # case id -> the split that lists it
+    for name, ids in splits.items():
         for cid in ids:
-            if cid not in cases:
-                cases[cid] = read_case(data_dir / cid)
-    return cases, splits
+            if cid in split_of:
+                raise VolumeFormatError(
+                    f"{manifest}: case {cid!r} is listed in split "
+                    f"{split_of[cid]!r} and again in split {name!r}")
+            split_of[cid] = name
+    return {cid: read_case(data_dir / cid) for cid in split_of}, splits
 
 
 # -- dataset splits --------------------------------------------------------

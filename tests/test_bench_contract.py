@@ -6,17 +6,12 @@ call, would only show up as a failed or silently incomplete traced run;
 these tests make it fail here.
 """
 
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
-
-from evidseg.backbone_unet import BackboneConfig  # noqa: E402
-from evidseg.trainer import Model, TrainConfig  # noqa: E402
-from perfbench import tracing  # noqa: E402
+from evidseg.backbone_unet import BackboneConfig
+from evidseg.trainer import Model, TrainConfig
+from perfbench import tracing
 
 
 @pytest.mark.parametrize("path", ["train-es", "train-softmax", "eval",

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from evidseg.evidential_head import IGNORANCE, es_forward
-from evidseg.objectives import (DICE_EPS, channel, dice_loss, lesion_map,
-                                total_loss, uncertainty_loss)
+from evidseg.objectives import (DICE_EPS, dice_loss, lesion_map, total_loss,
+                                uncertainty_loss)
 from evidseg.tensor_core import Tensor
 from helpers import random_es_params
 
@@ -140,9 +140,14 @@ class TestTotalLoss:
 class TestSegmentationMaps:
     def test_channel_selection(self):
         rng = np.random.default_rng(6)
-        masses = Tensor(rng.uniform(0, 1, size=(2, 3, 2, 2, 2)))
-        picked = channel(masses, IGNORANCE).data
-        np.testing.assert_array_equal(picked, masses.data[:, IGNORANCE])
+        masses = Tensor(rng.uniform(0, 1, size=(2, 3, 2, 2, 2)),
+                        requires_grad=True)
+        picked = masses[:, IGNORANCE]
+        np.testing.assert_array_equal(picked.data, masses.data[:, IGNORANCE])
+        (picked * 2.0).sum().backward()
+        expected = np.zeros_like(masses.data)
+        expected[:, IGNORANCE] = 2.0
+        np.testing.assert_array_equal(masses.grad, expected)
 
     def test_pignistic_mode_uses_half_ignorance(self):
         rng = np.random.default_rng(7)

@@ -126,6 +126,18 @@ class TestStructuredOps:
         assert out.shape == (1, 1, 4, 4, 4)
         np.testing.assert_array_equal(out[0, 0, :2, :2, :2], x[0, 0, 0, 0, 0])
 
+    @pytest.mark.parametrize("index", [
+        (slice(None), 2), 1, (Ellipsis, 0), (0, slice(1, None), Ellipsis),
+        (slice(None), slice(None, None, -1), 1)])
+    def test_getitem_matches_numpy(self, index):
+        x = np.arange(2.0 * 3 * 4).reshape(2, 3, 4)
+        np.testing.assert_array_equal(Tensor(x)[index].data, x[index])
+
+    @pytest.mark.parametrize("index", [[0, 0], np.array([1]), None])
+    def test_getitem_rejects_other_indices(self, index):
+        with pytest.raises(TensorError, match="index"):
+            Tensor(np.zeros((2, 3)))[index]
+
     def test_concat_stacks_channels(self):
         a = np.ones((1, 2, 2, 2, 2))
         b = np.zeros((1, 3, 2, 2, 2))
@@ -142,6 +154,20 @@ class TestFiniteDifferenceCheck:
         report = finite_difference_check(g, "x", step=1e-3, tol=1e-4)
         assert report.passed
         assert report.max_error <= 1e-4
+
+    @pytest.mark.parametrize("index", [(slice(None), 2), (Ellipsis, 1),
+                                       (0, slice(0, 3, 2))])
+    def test_getitem_gradient_passes(self, index):
+        rng = np.random.default_rng(5)
+
+        def build(lv, iv):
+            # x[0] overlaps every index, so gradients from two slices add up
+            x = lv["x"]
+            return (x[index].sigmoid() * x[index]).sum() + x[0].exp().sum()
+
+        g = Graph(build, {"x": rng.standard_normal((2, 3, 4))})
+        report = finite_difference_check(g, "x")
+        assert report.passed and report.checked == 24
 
     def test_constant_loss_passes(self):
         g = Graph(lambda lv, iv: (lv["x"] * 0.0).sum(), {"x": np.ones(4)})

@@ -268,6 +268,11 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="offset -4"):
             load_checkpoint(ckpt)
 
+    def test_other_input_channel_count_rejected(self, ckpt):
+        rewrite_header(ckpt, lambda h: h.update(in_channels=3))
+        with pytest.raises(ValueError, match="m.evckpt: in_channels 3"):
+            load_checkpoint(ckpt)
+
 
 class TestTrainLoop:
     def test_short_run_logs_and_improves_constraints(self):

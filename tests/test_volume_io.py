@@ -11,7 +11,7 @@ from evidseg.volume_io import (CT_NORM, PET_NORM, NormalizationSpec,
                                VolumeFormatError, generate_phantom, normalize,
                                read_case, read_dataset, read_volume,
                                split_dataset, write_case, write_dataset,
-                               write_volume)
+                               write_framed, write_volume)
 
 
 def make_volume(rng, dims=(8, 8, 8), modality="PET"):
@@ -146,6 +146,20 @@ class TestEvolFormat:
         with pytest.raises(VolumeFormatError, match="bad.evol"):
             read_volume(path)
 
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        class Unreadable:
+            def __array__(self, dtype=None, copy=None):
+                raise OSError("disk went away")
+
+        path = tmp_path / "v.evol"
+        write_volume(make_volume(np.random.default_rng(0)), path)
+        before = path.read_bytes()
+        with pytest.raises(OSError, match="disk went away"):
+            write_framed(path, b"EVIDVOL1", {"dims": [2, 2, 2]},
+                         [np.zeros(4), Unreadable()])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["v.evol"]
+
     def test_case_round_trip(self, tmp_path):
         case = generate_phantom(5, (16, 16, 16), (1, 2))
         write_case(case, tmp_path / "c")
@@ -252,9 +266,15 @@ class TestDatasetDir:
             (ds / c / "ct.evol").read_bytes())),
         ("mask.evol", lambda ds, c: (ds / c / "mask.evol").write_bytes(
             (ds / c / "pet.evol").read_bytes())),
+        ("splits.json: case 'c' .*'train' .*'val'",
+         lambda ds, c: (ds / "splits.json").write_text(
+             json.dumps({"train": [c], "val": [c], "test": [c]}))),
+        ("splits.json: case 'c' .*'train' .*'train'",
+         lambda ds, c: (ds / "splits.json").write_text(
+             json.dumps({"train": [c, c]}))),
     ], ids=["case-without-id", "splits-list", "split-string",
             "splits-undecodable", "case-undecodable", "ct-as-pet",
-            "pet-as-mask"])
+            "pet-as-mask", "splits-overlap", "case-twice-in-split"])
     def test_malformed_dataset_names_file(self, tmp_path, name, damage):
         case = generate_phantom(0, (16, 16, 16), (1, 2))
         case.id = "c"
