@@ -159,8 +159,11 @@ def cmd_gradcheck(args):
         failed = failed or not r.passed
     if failed:
         raise CliError("gradient check failed", code=EXIT_NUMERIC)
+    reports = [rep for r in results for rep in r.reports]
     print(f"all {len(results)} op kinds pass "
-          f"(step {gc.STEP:g}, tol {gc.TOL:g})")
+          f"(step {gc.STEP:g}, tol {gc.TOL:g}): "
+          f"{sum(rep.checked for rep in reports):,} element checks, "
+          f"{sum(rep.skipped_at_kink for rep in reports):,} kink skips")
 
 
 # -- argument parsing ------------------------------------------------------

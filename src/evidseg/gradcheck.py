@@ -44,8 +44,8 @@ class FdReport:
     skipped_at_kink: int = 0
 
 
-def finite_difference_check(graph: Graph, leaf: str, step: float = 1e-3,
-                            tol: float = 1e-4, inputs: dict | None = None,
+def finite_difference_check(graph: Graph, leaf: str, step: float = STEP,
+                            tol: float = TOL, inputs: dict | None = None,
                             sample: int | None = None,
                             rng: np.random.Generator | None = None) -> FdReport:
     """Compare backward gradients against central differences.

@@ -3,8 +3,9 @@
 Only the operation set needed by the segmentation model is implemented:
 elementwise arithmetic, exp/log, rectifier, logistic squashing, softmax (a
 composite of these), reductions, matmul, basic indexing (ints, slices,
-Ellipsis), channel concatenation, 3D convolution (kernel 1 or 3, stride 1,
-same padding), 2x max-pooling and 2x nearest-neighbour upsampling.
+Ellipsis), channel concatenation, 3D convolution (stride 1, same padding),
+2x max-pooling and 2x nearest-neighbour upsampling. conv3d is one
+padded-window correlation for every kernel size and both gradients.
 `as_tensor` turns any other operand into a constant Tensor.
 
 Layout is row-major with the last index varying fastest, matching the
@@ -279,49 +280,38 @@ def concat(tensors, axis):
 
 # -- spatial ops (N, C, X, Y, Z) ------------------------------------------
 
-def _conv3d_raw(x, w, bias=None):
-    """Stride-1 same-padding correlation; kernel extent 1 or 3 per axis."""
-    n, cin, sx, sy, sz = x.shape
-    cout, cin_w, k, _, _ = w.shape
-    if cin != cin_w:
-        raise TensorError(f"conv3d channel mismatch: input {cin}, weight {cin_w}")
-    if k == 1:
-        out = np.einsum("ncxyz,oc->noxyz", x, w[:, :, 0, 0, 0], optimize=True)
-    else:
-        p = k // 2
-        xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p), (p, p)))
-        win = sliding_window_view(xp, (k, k, k), axis=(2, 3, 4))
-        out = np.einsum("ncxyzijk,ocijk->noxyz", win, w, optimize=True)
-    if bias is not None:
-        out = out + bias[None, :, None, None, None]
-    return out
+def _windows(x, k):
+    """(N, C, X, Y, Z, k, k, k) windows of `x` zero-padded by k // 2."""
+    n, c, sx, sy, sz = x.shape
+    p = k // 2
+    xp = np.zeros((n, c, sx + 2 * p, sy + 2 * p, sz + 2 * p), dtype=x.dtype)
+    xp[:, :, p:p + sx, p:p + sy, p:p + sz] = x
+    return sliding_window_view(xp, (k, k, k), axis=(2, 3, 4))
 
 
 def conv3d(x: Tensor, w: Tensor, b: Tensor):
-    """3D convolution, kernel 1 or 3, stride 1, zero same-padding."""
-    k = w.shape[2]
-    out_data = _conv3d_raw(x.data, w.data, b.data)
+    """3D correlation, odd cubic kernel, stride 1, zero same-padding."""
+    cin, k = w.shape[1], w.shape[2]
+    if x.shape[1] != cin:
+        raise TensorError(f"conv3d channel mismatch: input {x.shape[1]}, "
+                          f"weight {cin}")
+    out_data = np.einsum("ncxyzijk,ocijk->noxyz", _windows(x.data, k),
+                         w.data, optimize=True)
+    out_data = out_data + b.data[None, :, None, None, None]
 
     def backward(g):
         g = np.ascontiguousarray(g)
+        gx = gw = gb = None
         if x.requires_grad:
-            w_flip = w.data.transpose(1, 0, 2, 3, 4)
-            if k == 3:
-                w_flip = w_flip[:, :, ::-1, ::-1, ::-1]
-            gx = _conv3d_raw(g, np.ascontiguousarray(w_flip))
-        else:
-            gx = None
-        if not w.requires_grad:
-            gw = None
-        elif k == 1:
-            gw = np.einsum("noxyz,ncxyz->oc", g, x.data,
-                           optimize=True).reshape(w.shape)
-        else:
-            p = k // 2
-            xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p), (p, p)))
-            win = sliding_window_view(xp, (k, k, k), axis=(2, 3, 4))
-            gw = np.einsum("noxyz,ncxyzijk->ocijk", g, win, optimize=True)
-        gb = g.sum(axis=(0, 2, 3, 4)) if b.requires_grad else None
+            # correlating g with the flipped, transposed kernel
+            w_flip = w.data.transpose(1, 0, 2, 3, 4)[:, :, ::-1, ::-1, ::-1]
+            gx = np.einsum("ncxyzijk,ocijk->noxyz", _windows(g, k),
+                           np.ascontiguousarray(w_flip), optimize=True)
+        if w.requires_grad:
+            gw = np.einsum("noxyz,ncxyzijk->ocijk", g, _windows(x.data, k),
+                           optimize=True)
+        if b.requires_grad:
+            gb = g.sum(axis=(0, 2, 3, 4))
         return (gx, gw, gb)
 
     return Tensor._make(out_data, "conv3d", (x, w, b), backward)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -81,30 +82,33 @@ def normalize(v: Volume, spec: NormalizationSpec) -> Volume:
 
 # -- framed files: .evol volumes and .evckpt checkpoints -------------------
 
-def write_framed(path, magic: bytes, header: dict, arrays):
-    """Write `magic`, a little-endian u32 header length, the UTF-8 JSON
-    header, then each array as contiguous little-endian float32.
-
-    The bytes go to a temporary file in the same directory, which is synced
-    and then renamed onto `path`; so `path` holds either its old contents or
-    the whole new file, and a failed write leaves no temporary file behind.
-    """
-    head = json.dumps(header).encode("utf-8")
+def _write_atomic(path, chunks):
+    """Write the byte strings `chunks` to a temporary file in `path`'s
+    directory, sync it and rename it onto `path`; so `path` holds either its
+    old contents or the whole new file, and a failed write leaves no
+    temporary file behind."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as f:
-            f.write(magic)
-            f.write(len(head).to_bytes(4, "little"))
-            f.write(head)
-            for a in arrays:
-                f.write(np.ascontiguousarray(a, dtype="<f4").tobytes())
+            for chunk in chunks:
+                f.write(chunk)
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_framed(path, magic: bytes, header: dict, arrays):
+    """Write `magic`, a little-endian u32 header length, the UTF-8 JSON
+    header, then each array as contiguous little-endian float32, atomically.
+    """
+    head = json.dumps(header).encode("utf-8")
+    _write_atomic(path, chain(
+        (magic, len(head).to_bytes(4, "little"), head),
+        (np.ascontiguousarray(a, dtype="<f4").tobytes() for a in arrays)))
 
 
 def read_framed(path, magic: bytes):
@@ -168,7 +172,8 @@ def write_case(case: PatientCase, case_dir):
     case_dir.mkdir(parents=True, exist_ok=True)
     for name in CASE_VOLUMES:
         write_volume(getattr(case, name), case_dir / f"{name}.evol")
-    (case_dir / "case.json").write_text(json.dumps({"id": case.id}))
+    _write_atomic(case_dir / "case.json",
+                  [json.dumps({"id": case.id}).encode("utf-8")])
 
 
 def _read_json(path):
@@ -268,23 +273,10 @@ def generate_phantom(seed: int, dims: tuple[int, int, int],
 
 # -- dataset directories ---------------------------------------------------
 
-def write_dataset(cases: list, splits: dict, out_dir):
-    """Write case directories plus a split manifest (splits.json)."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for case in cases:
-        write_case(case, out_dir / case.id)
-    (out_dir / "splits.json").write_text(json.dumps(splits, indent=1))
-
-
-def read_dataset(data_dir):
-    """Returns ({case_id: PatientCase}, {split_name: [case_id]}); the
-    splits must be disjoint and list each case once."""
-    data_dir = Path(data_dir)
-    manifest = data_dir / "splits.json"
-    if not manifest.exists():
-        raise VolumeFormatError(f"{data_dir}: missing splits.json")
-    splits = _read_json(manifest)
+def _check_splits(splits, manifest):
+    """The case ids of `splits`, a {split name: [case id]} map whose splits
+    are disjoint and list each case once; else VolumeFormatError naming
+    `manifest`."""
     if not (isinstance(splits, dict) and all(
             isinstance(ids, list) and all(isinstance(c, str) for c in ids)
             for ids in splits.values())):
@@ -298,7 +290,32 @@ def read_dataset(data_dir):
                     f"{manifest}: case {cid!r} is listed in split "
                     f"{split_of[cid]!r} and again in split {name!r}")
             split_of[cid] = name
-    return {cid: read_case(data_dir / cid) for cid in split_of}, splits
+    return list(split_of)
+
+
+def write_dataset(cases: list, splits: dict, out_dir):
+    """Write case directories plus a split manifest (splits.json); the
+    splits are checked as `read_dataset` checks them before anything is
+    written."""
+    out_dir = Path(out_dir)
+    _check_splits(splits, out_dir / "splits.json")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for case in cases:
+        write_case(case, out_dir / case.id)
+    _write_atomic(out_dir / "splits.json",
+                  [json.dumps(splits, indent=1).encode("utf-8")])
+
+
+def read_dataset(data_dir):
+    """Returns ({case_id: PatientCase}, {split_name: [case_id]}); the
+    splits must be disjoint and list each case once."""
+    data_dir = Path(data_dir)
+    manifest = data_dir / "splits.json"
+    if not manifest.exists():
+        raise VolumeFormatError(f"{data_dir}: missing splits.json")
+    splits = _read_json(manifest)
+    return ({cid: read_case(data_dir / cid)
+             for cid in _check_splits(splits, manifest)}, splits)
 
 
 # -- dataset splits --------------------------------------------------------

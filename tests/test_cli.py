@@ -282,6 +282,8 @@ class TestGradcheckCommand:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+        # seed 0, one instance per case: the counts perfbench also pins
+        assert "2,298 element checks, 266 kink skips" in out
 
     def test_injected_fault_detected(self, capsys):
         code = main(["gradcheck", "--instances", "1",

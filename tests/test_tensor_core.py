@@ -101,16 +101,27 @@ class TestBackwardGradients:
 
 
 class TestStructuredOps:
-    def test_conv3d_matches_direct_convolution(self):
-        # independent recomputation of one output voxel by explicit summation
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_conv3d_matches_direct_convolution(self, k):
+        # independent recomputation of every output voxel by explicit summation
         rng = np.random.default_rng(3)
-        x = rng.standard_normal((1, 2, 4, 4, 4))
-        w = rng.standard_normal((3, 2, 3, 3, 3))
+        x = rng.standard_normal((2, 2, 4, 4, 4))
+        w = rng.standard_normal((3, 2, k, k, k))
         b = rng.standard_normal(3)
         out = conv3d(Tensor(x), Tensor(w), Tensor(b)).data
-        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1), (1, 1)))
-        expected = (xp[0, :, 1:4, 1:4, 1:4] * w[1]).sum() + b[1]
-        np.testing.assert_allclose(out[0, 1, 1, 1, 1], expected, rtol=1e-10)
+        p = k // 2
+        xp = np.pad(x, ((0, 0), (0, 0)) + ((p, p),) * 3)
+        expected = np.empty((2, 3, 4, 4, 4))
+        for n, o, i, j, l in np.ndindex(expected.shape):
+            expected[n, o, i, j, l] = (
+                xp[n, :, i:i + k, j:j + k, l:l + k] * w[o]).sum() + b[o]
+        np.testing.assert_allclose(out, expected, rtol=1e-10)
+
+    def test_conv3d_rejects_channel_mismatch(self):
+        x = Tensor(np.zeros((1, 2, 4, 4, 4)))
+        w = Tensor(np.zeros((3, 4, 3, 3, 3)))
+        with pytest.raises(TensorError, match="channel mismatch"):
+            conv3d(x, w, Tensor(np.zeros(3)))
 
     def test_maxpool_halves_dims_and_takes_maxima(self):
         rng = np.random.default_rng(4)
@@ -168,6 +179,18 @@ class TestFiniteDifferenceCheck:
         g = Graph(build, {"x": rng.standard_normal((2, 3, 4))})
         report = finite_difference_check(g, "x")
         assert report.passed and report.checked == 24
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_conv3d_gradient_passes(self, k):
+        rng = np.random.default_rng(6)
+        leaves = {"x": rng.standard_normal((2, 2, 4, 4, 4)),
+                  "w": 0.3 * rng.standard_normal((3, 2, k, k, k)),
+                  "b": rng.standard_normal(3)}
+        build = lambda lv, iv: conv3d(lv["x"], lv["w"], lv["b"]).sigmoid().sum()
+        g = Graph(build, leaves)
+        for leaf, value in leaves.items():
+            report = finite_difference_check(g, leaf)
+            assert report.passed and report.checked == value.size
 
     def test_constant_loss_passes(self):
         g = Graph(lambda lv, iv: (lv["x"] * 0.0).sum(), {"x": np.ones(4)})

@@ -1,11 +1,13 @@
 """Volume format, normalization, phantom generation, dataset splitting."""
 
 import json
+import os
 import struct
 
 import numpy as np
 import pytest
 
+from evidseg import volume_io
 from evidseg.volume_io import (CT_NORM, PET_NORM, NormalizationSpec,
                                PatientCase, PhantomParams, Volume,
                                VolumeFormatError, generate_phantom, normalize,
@@ -282,6 +284,33 @@ class TestDatasetDir:
         damage(tmp_path, "c")
         with pytest.raises(VolumeFormatError, match=name):
             read_dataset(tmp_path)
+
+    def test_overlapping_splits_not_written(self, tmp_path):
+        case = generate_phantom(0, (16, 16, 16), (1, 2))
+        case.id = "c"
+        with pytest.raises(VolumeFormatError,
+                           match="splits.json: case 'c' .*'train' .*'val'"):
+            write_dataset([case], {"train": ["c"], "val": ["c"]},
+                          tmp_path / "ds")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_json_write_keeps_old_file(self, tmp_path, monkeypatch):
+        case = generate_phantom(0, (16, 16, 16), (1, 2))
+        case.id = "c"
+        write_dataset([case], {"train": ["c"]}, tmp_path)
+        before = (tmp_path / "splits.json").read_bytes()
+        replace = os.replace
+
+        def failing_replace(src, dst):
+            if os.path.basename(dst) == "splits.json":
+                raise OSError("disk went away")
+            replace(src, dst)
+
+        monkeypatch.setattr(volume_io.os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk went away"):
+            write_dataset([case], {"test": ["c"]}, tmp_path)
+        assert (tmp_path / "splits.json").read_bytes() == before
+        assert not [p for p in tmp_path.rglob("*") if p.suffix == ".tmp"]
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(VolumeFormatError, match="splits.json"):
