@@ -222,8 +222,8 @@ def case_bba(rng):
     def build(lv, iv):
         s = ev.distance_activation(lv["f"], lv["es.prototypes"],
                                    lv["es.gamma_roots"])
-        m_sing, m_omega = ev.bba(s, lv["es.membership_logits"],
-                                 lv["es.alpha_logits"])
+        masses = ev.bba(s, lv["es.membership_logits"], lv["es.alpha_logits"])
+        m_sing, m_omega = masses[..., :ev.K], masses[..., ev.IGNORANCE]
         return (m_sing ** 2).sum() + (m_omega ** 2).sum()
 
     return Graph(build, leaves), {}
@@ -235,9 +235,8 @@ def case_dempster_fuse(rng):
     def build(lv, iv):
         s = ev.distance_activation(lv["f"], lv["es.prototypes"],
                                    lv["es.gamma_roots"])
-        m_sing, m_omega = ev.bba(s, lv["es.membership_logits"],
-                                 lv["es.alpha_logits"])
-        fused = ev.dempster_fuse(m_sing, m_omega)
+        fused = ev.dempster_fuse(ev.bba(s, lv["es.membership_logits"],
+                                        lv["es.alpha_logits"]))
         return (fused ** 2).sum()
 
     return Graph(build, leaves), {}

@@ -295,10 +295,15 @@ def _check_splits(splits, manifest):
 
 def write_dataset(cases: list, splits: dict, out_dir):
     """Write case directories plus a split manifest (splits.json); the
-    splits are checked as `read_dataset` checks them before anything is
-    written."""
+    splits are checked as `read_dataset` checks them, and must list only
+    ids of `cases`, before anything is written."""
     out_dir = Path(out_dir)
-    _check_splits(splits, out_dir / "splits.json")
+    listed = _check_splits(splits, out_dir / "splits.json")
+    unknown = sorted(set(listed) - {case.id for case in cases})
+    if unknown:
+        raise VolumeFormatError(
+            f"{out_dir / 'splits.json'}: lists cases not being written: "
+            f"{', '.join(map(repr, unknown))}")
     out_dir.mkdir(parents=True, exist_ok=True)
     for case in cases:
         write_case(case, out_dir / case.id)
@@ -308,14 +313,20 @@ def write_dataset(cases: list, splits: dict, out_dir):
 
 def read_dataset(data_dir):
     """Returns ({case_id: PatientCase}, {split_name: [case_id]}); the
-    splits must be disjoint and list each case once."""
+    splits must be disjoint, list each case once and list only cases
+    present in `data_dir`."""
     data_dir = Path(data_dir)
     manifest = data_dir / "splits.json"
     if not manifest.exists():
         raise VolumeFormatError(f"{data_dir}: missing splits.json")
     splits = _read_json(manifest)
-    return ({cid: read_case(data_dir / cid)
-             for cid in _check_splits(splits, manifest)}, splits)
+    ids = _check_splits(splits, manifest)
+    for cid in ids:
+        if not (data_dir / cid / "case.json").is_file():
+            raise VolumeFormatError(
+                f"{manifest}: lists case {cid!r}, but "
+                f"{data_dir / cid / 'case.json'} does not exist")
+    return {cid: read_case(data_dir / cid) for cid in ids}, splits
 
 
 # -- dataset splits --------------------------------------------------------

@@ -3,12 +3,20 @@
 The Dempster oracle here deliberately avoids the closed form used by the
 package: it combines mass functions pairwise over the explicit 4-element
 power set of a 2-class frame, renormalizing conflict at each step.
+
+The tape head (`tape_*`) is the evidential head written as a composite of
+elementwise tape ops, with the same math as `evidential_head` but every
+derivative from the generic op backwards; the fused stages are checked
+against it.
 """
 
 import json
 import struct
 
 import numpy as np
+
+from evidseg.evidential_head import K
+from evidseg.tensor_core import Tensor, as_tensor, concat
 
 # subsets of the frame {a, b} as bitmasks: 0 = empty, 1 = {a}, 2 = {b}, 3 = frame
 _SUBSETS = (1, 2, 3)
@@ -65,3 +73,67 @@ def rewrite_header(path, edit):
     head = json.dumps(header).encode("utf-8")
     path.write_bytes(raw[:8] + struct.pack("<I", len(head)) + head
                      + raw[12 + hlen:])
+
+
+def tape_distance_activation(features: Tensor, prototypes, gamma_roots) -> Tensor:
+    """s_i = exp(-gamma_i * d_i^2) for features (M, C) against (I, C) prototypes."""
+    f, p, eta = map(as_tensor, (features, prototypes, gamma_roots))
+    if f.shape[1] != p.shape[1]:
+        raise ValueError(
+            f"feature dim {f.shape[1]} != prototype dim {p.shape[1]}")
+    d2 = ((f * f).sum(axis=1, keepdims=True)
+          - 2.0 * (f @ p.transpose(1, 0))
+          + (p * p).sum(axis=1))  # (M, I)
+    gamma = eta * eta
+    return (-(d2 * gamma.reshape(1, -1))).exp()
+
+
+def tape_bba(s: Tensor, membership_logits, alpha_logits):
+    """Per-prototype mass functions from activations s (M, I).
+
+    Returns (singleton masses (M, I, K), ignorance masses (M, I)); the
+    three masses of each prototype sum to 1 by construction.
+    """
+    u = as_tensor(membership_logits).softmax(axis=1)  # (I, K)
+    alpha = as_tensor(alpha_logits).sigmoid()         # (I,)
+    m, i = s.shape
+    alpha_s = s * alpha.reshape(1, -1)             # (M, I)
+    m_sing = alpha_s.reshape(m, i, 1) * u.reshape(1, i, K)
+    m_omega = 1.0 - alpha_s
+    return m_sing, m_omega
+
+
+def tape_dempster_fuse(m_sing: Tensor, m_omega: Tensor) -> Tensor:
+    """Normalized Dempster combination of I simple BBAs per voxel.
+
+    Closed form on a 2-class frame: the unnormalized singleton mass is
+    prod_i(m_i({k}) + m_i(Omega)) - prod_i m_i(Omega), the unnormalized
+    ignorance mass is prod_i m_i(Omega). Products run in log space; every
+    factor is positive because each prototype keeps m_i(Omega) > 0.
+    Returns (M, 3) masses ordered (lesion, background, ignorance).
+    """
+    m, i, k = m_sing.shape
+    log_w = (m_sing + m_omega.reshape(m, i, 1)).log().sum(axis=1)  # (M, K)
+    log_o = m_omega.log().sum(axis=1)                              # (M,)
+    w = log_w.exp()
+    o = log_o.exp()
+    mu_sing = w - o.reshape(m, 1)
+    norm = mu_sing.sum(axis=1) + o                                 # (M,)
+    masses = concat([mu_sing, o.reshape(m, 1)], axis=1)
+    if np.any(norm.data <= 1e-300):
+        raise ArithmeticError("total conflict in Dempster combination")
+    return masses / norm.reshape(m, 1)
+
+
+def tape_es_forward(features: Tensor, params) -> Tensor:
+    """`evidential_head.es_forward` through the tape head."""
+    n, c = features.shape[0], features.shape[1]
+    spatial = features.shape[2:]
+    m = n * int(np.prod(spatial))
+    flat = features.transpose(0, 2, 3, 4, 1).reshape(m, c)
+    s = tape_distance_activation(flat, params["es.prototypes"],
+                                 params["es.gamma_roots"])
+    m_sing, m_omega = tape_bba(s, params["es.membership_logits"],
+                               params["es.alpha_logits"])
+    masses = tape_dempster_fuse(m_sing, m_omega)  # (M, 3)
+    return masses.reshape(n, *spatial, 3).transpose(0, 4, 1, 2, 3)

@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evidseg.evidential_head import (BACKGROUND, CODE_BACKGROUND, CODE_IGNORANCE,
-                                     CODE_LESION, EsParams, IGNORANCE, LESION,
+                                     CODE_LESION, EsParams, IGNORANCE, K, LESION,
                                      bba, decide, dempster_fuse,
                                      distance_activation, es_forward,
                                      fuse_mass_arrays, pignistic_lesion)
 from evidseg.tensor_core import Tensor
-from helpers import powerset_fuse, random_es_params, random_simple_bba
+from helpers import (powerset_fuse, random_es_params, random_simple_bba,
+                     tape_es_forward)
 
 
 def single_prototype_bba(alpha, gamma, u_lesion, d2):
@@ -84,49 +85,55 @@ class TestDistanceActivation:
 class TestBba:
     def test_zero_distance_half_alpha(self):
         # alpha 0.5, memberships (0.7, 0.3), feature on the prototype
-        m_sing, m_omega = bba(Tensor(np.ones((1, 1))),
-                              np.log([[0.7, 0.3]]), np.zeros(1))
-        np.testing.assert_allclose(m_sing.data[0, 0], [0.35, 0.15],
+        masses = bba(Tensor(np.ones((1, 1))), np.log([[0.7, 0.3]]),
+                     np.zeros(1)).data
+        m_sing, m_omega = masses[..., :K], masses[..., IGNORANCE]
+        np.testing.assert_allclose(m_sing[0, 0], [0.35, 0.15],
                                    atol=1e-12)
-        np.testing.assert_allclose(m_omega.data[0, 0], 0.5, atol=1e-12)
+        np.testing.assert_allclose(m_omega[0, 0], 0.5, atol=1e-12)
 
     def test_distant_feature_vacuous(self):
-        m_sing, m_omega = bba(Tensor(np.zeros((1, 1))),
-                              np.log([[0.7, 0.3]]), np.zeros(1))
-        np.testing.assert_allclose(m_sing.data, 0.0, atol=1e-15)
-        np.testing.assert_allclose(m_omega.data, 1.0, atol=1e-15)
+        masses = bba(Tensor(np.zeros((1, 1))), np.log([[0.7, 0.3]]),
+                     np.zeros(1)).data
+        m_sing, m_omega = masses[..., :K], masses[..., IGNORANCE]
+        np.testing.assert_allclose(m_sing, 0.0, atol=1e-15)
+        np.testing.assert_allclose(m_omega, 1.0, atol=1e-15)
 
     def test_hand_value_at_exp_minus_one(self):
         # alpha 0.5, u (0.7, 0.3), s = e^-1: masses are 0.35*e^-1,
         # 0.15*e^-1 and 1 - 0.5*e^-1
         s = Tensor(np.array([[np.exp(-1.0)]]))
-        m_sing, m_omega = bba(s, np.log([[0.7, 0.3]]), np.zeros(1))
-        np.testing.assert_allclose(m_sing.data[0, 0], [0.1287578, 0.0551819],
+        masses = bba(s, np.log([[0.7, 0.3]]), np.zeros(1)).data
+        m_sing, m_omega = masses[..., :K], masses[..., IGNORANCE]
+        np.testing.assert_allclose(m_sing[0, 0], [0.1287578, 0.0551819],
                                    atol=1e-6)
-        np.testing.assert_allclose(m_omega.data[0, 0], 0.8160603, atol=1e-6)
+        np.testing.assert_allclose(m_omega[0, 0], 0.8160603, atol=1e-6)
 
     def test_masses_sum_to_one(self):
         rng = np.random.default_rng(5)
         s = Tensor(rng.uniform(0, 1, size=(6, 4)))
-        m_sing, m_omega = bba(s, rng.standard_normal((4, 2)),
-                              rng.standard_normal(4))
-        total = m_sing.data.sum(axis=2) + m_omega.data
+        masses = bba(s, rng.standard_normal((4, 2)),
+                     rng.standard_normal(4)).data
+        m_sing, m_omega = masses[..., :K], masses[..., IGNORANCE]
+        total = m_sing.sum(axis=2) + m_omega
         np.testing.assert_allclose(total, 1.0, atol=1e-12)
 
     def test_ignorance_floor(self):
         rng = np.random.default_rng(6)
         alpha_logits = rng.standard_normal(4)
         s = Tensor(rng.uniform(0, 1, size=(6, 4)))
-        _, m_omega = bba(s, rng.standard_normal((4, 2)), alpha_logits)
+        m_omega = bba(s, rng.standard_normal((4, 2)),
+                      alpha_logits).data[..., IGNORANCE]
         floor = 1.0 - 1.0 / (1.0 + np.exp(-alpha_logits))
-        assert np.all(m_omega.data >= floor - 1e-12)
+        assert np.all(m_omega >= floor - 1e-12)
 
     def test_omega_mass_monotone_in_distance(self):
         # larger squared distance -> smaller s -> larger ignorance mass
         d2 = np.linspace(0, 50, 25)
         s = Tensor(np.exp(-0.1 * d2)[:, None])
-        _, m_omega = bba(s, np.zeros((1, 2)), np.array([0.7]))
-        assert np.all(np.diff(m_omega.data[:, 0]) >= 0)
+        m_omega = bba(s, np.zeros((1, 2)),
+                      np.array([0.7])).data[..., IGNORANCE]
+        assert np.all(np.diff(m_omega[:, 0]) >= 0)
 
 
 class TestDempsterFuse:
@@ -223,6 +230,74 @@ class TestEsForward:
         assert np.all(masses >= 0)
         np.testing.assert_allclose(masses.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(masses[:, IGNORANCE] > 0)
+
+
+class TestFusedStages:
+    """The fused stages against the elementwise tape head (helpers.tape_*),
+    whose every derivative comes from the generic op backwards."""
+
+    @staticmethod
+    def _leaves(seed, dtype=np.float64):
+        rng = np.random.default_rng(seed)
+        es = random_es_params(rng, prototypes=20, feature_dim=4)
+        f = 0.5 * rng.standard_normal((2, 4, 8, 8, 8))
+        weights = rng.standard_normal((2, 3, 8, 8, 8))
+        return (f.astype(dtype),
+                {k: v.astype(dtype) for k, v in es.as_dict().items()},
+                weights.astype(dtype))
+
+    def _masses_and_grads(self, head, seed, dtype):
+        f, params, weights = self._leaves(seed, dtype)
+        ft = Tensor(f, requires_grad=True)
+        lv = {k: Tensor(v, requires_grad=True) for k, v in params.items()}
+        masses = head(ft, lv)
+        (masses * weights).sum().backward()
+        return masses.data, {"features": ft.grad,
+                             **{k: t.grad for k, t in lv.items()}}
+
+    # float32: the two paths sum in different orders, so they agree to
+    # about 80 ulp of the largest element, not bit for bit
+    @pytest.mark.parametrize("seed,dtype,tol", [(0, np.float64, 1e-10),
+                                                (1, np.float64, 1e-10),
+                                                (0, np.float32, 1e-5)])
+    def test_matches_tape_head(self, seed, dtype, tol):
+        masses, grads = self._masses_and_grads(es_forward, seed, dtype)
+        ref_masses, ref_grads = self._masses_and_grads(tape_es_forward, seed,
+                                                       dtype)
+        assert set(grads) == set(ref_grads) and len(grads) == 5
+        # relative to each array's largest element: single elements of the
+        # feature gradient are differences of nearly equal terms
+        pairs = [("masses", masses, ref_masses),
+                 *((k, grads[k], ref) for k, ref in ref_grads.items())]
+        for name, got, ref in pairs:
+            assert got.dtype == ref.dtype == dtype
+            np.testing.assert_allclose(got, ref, rtol=tol,
+                                       atol=tol * np.abs(ref).max(),
+                                       err_msg=name)
+
+    def test_each_stage_is_one_node_on_its_inputs(self):
+        f, params, _ = self._leaves(2)
+        flat = Tensor(f.transpose(0, 2, 3, 4, 1).reshape(-1, 4),
+                      requires_grad=True)
+        lv = {k: Tensor(v, requires_grad=True) for k, v in params.items()}
+        s = distance_activation(flat, lv["es.prototypes"],
+                                lv["es.gamma_roots"])
+        masses = bba(s, lv["es.membership_logits"], lv["es.alpha_logits"])
+        fused = dempster_fuse(masses)
+        for out, inputs in (
+                (s, (flat, lv["es.prototypes"], lv["es.gamma_roots"])),
+                (masses, (s, lv["es.membership_logits"],
+                          lv["es.alpha_logits"])),
+                (fused, (masses,))):
+            assert len(out._prev) == len(inputs)
+            assert all(a is b for a, b in zip(out._prev, inputs))
+        m = flat.shape[0]
+        assert (s.shape, masses.shape, fused.shape) == ((m, 20), (m, 20, 3),
+                                                       (m, 3))
+        # prototype-major planes: reductions over prototypes add
+        # contiguous M-vectors
+        assert s.data.T.flags.c_contiguous
+        assert masses.data.transpose(2, 1, 0).flags.c_contiguous
 
 
 class TestDecide:

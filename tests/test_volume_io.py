@@ -294,6 +294,24 @@ class TestDatasetDir:
                           tmp_path / "ds")
         assert list(tmp_path.iterdir()) == []
 
+    def test_split_of_unwritten_case_not_written(self, tmp_path):
+        case = generate_phantom(0, (16, 16, 16), (1, 2))
+        case.id = "c"
+        with pytest.raises(VolumeFormatError,
+                           match="splits.json: .*not being written: 'ghost'"):
+            write_dataset([case], {"train": ["c", "ghost"]}, tmp_path / "ds")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_split_of_missing_case_names_manifest(self, tmp_path):
+        case = generate_phantom(0, (16, 16, 16), (1, 2))
+        case.id = "c"
+        write_dataset([case], {"train": ["c"]}, tmp_path)
+        (tmp_path / "splits.json").write_text(
+            json.dumps({"train": ["c", "ghost"]}))
+        with pytest.raises(VolumeFormatError,
+                           match="splits.json: lists case 'ghost'"):
+            read_dataset(tmp_path)
+
     def test_failed_json_write_keeps_old_file(self, tmp_path, monkeypatch):
         case = generate_phantom(0, (16, 16, 16), (1, 2))
         case.id = "c"
