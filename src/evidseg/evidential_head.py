@@ -63,7 +63,7 @@ class EsParams:
 
     @property
     def alphas(self):
-        return 1.0 / (1.0 + np.exp(-self.alpha_logits))
+        return strengths(self.alpha_logits)
 
     @property
     def gammas(self):
@@ -74,6 +74,17 @@ class EsParams:
                 "es.membership_logits": self.membership_logits,
                 "es.alpha_logits": self.alpha_logits,
                 "es.gamma_roots": self.gamma_roots}
+
+
+def strengths(alpha_logits):
+    """alpha = logistic(a), held at or below the largest value under 1.
+
+    Where logistic(a) rounds to 1 (a > ~17 in float32), alpha is 1 - epsneg
+    instead, so alpha s < 1 for every activation s <= 1 and m(Omega) =
+    1 - alpha s stays positive: its log in Dempster's rule stays finite.
+    """
+    alpha = 1.0 / (1.0 + np.exp(-np.asarray(alpha_logits)))
+    return np.minimum(alpha, 1.0 - np.finfo(alpha.dtype).epsneg)
 
 
 def distance_activation(features: Tensor, prototypes, gamma_roots) -> Tensor:
@@ -91,6 +102,7 @@ def distance_activation(features: Tensor, prototypes, gamma_roots) -> Tensor:
     d2 *= -2.0
     d2 += np.einsum("mc,mc->m", fd, fd)
     d2 += np.einsum("ic,ic->i", pd, pd)[:, None]
+    np.maximum(d2, 0.0, out=d2)  # the expansion can round below 0; keep s <= 1
     s = d2 * -gamma
     np.exp(s, out=s)
 
@@ -120,7 +132,7 @@ def bba(s: Tensor, membership_logits, alpha_logits) -> Tensor:
     s, v, a = map(as_tensor, (s, membership_logits, alpha_logits))
     e = np.exp(v.data - v.data.max(axis=1, keepdims=True))
     u = e / e.sum(axis=1, keepdims=True)     # (I, K) memberships
-    alpha = 1.0 / (1.0 + np.exp(-a.data))   # (I,)
+    alpha = strengths(a.data)               # (I,), below 1
     sp = s.data.T                           # (I, M)
     planes = np.empty((K + 1,) + sp.shape,
                       dtype=np.result_type(sp, alpha, u))
@@ -154,7 +166,9 @@ def _dempster(planes: np.ndarray):
     The unnormalized singleton mass of class k is
     prod_i(m_i({k}) + m_i(Omega)) - prod_i m_i(Omega), the unnormalized
     ignorance mass is prod_i m_i(Omega). Products run in log space; every
-    factor is positive because each prototype keeps m_i(Omega) > 0.
+    factor is positive because `bba` keeps m_i(Omega) >= epsneg (alpha
+    held below 1, s <= 1), so the logs here and the divisions by factors
+    in `dempster_fuse`'s backward stay finite.
     Returns (fused (3, M), w (K, M) singleton products, o (M,) ignorance
     product, norm (M,)).
     """

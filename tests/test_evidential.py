@@ -81,6 +81,15 @@ class TestDistanceActivation:
                                 rng.uniform(0, 2, 5)).data
         assert np.all(s > 0) and np.all(s <= 1)
 
+    def test_float32_feature_on_prototype_stays_at_most_one(self):
+        # |f|^2 - 2 f.p + |p|^2 rounds below 0 for some f = p in float32,
+        # which made s exceed 1 and 1 - alpha s negative for alpha near 1
+        f = (10.0 * np.random.default_rng(12).standard_normal((1000, 4))
+             ).astype(np.float32)
+        s = distance_activation(Tensor(f), f[:20],
+                                np.full(20, 3.0, np.float32)).data
+        assert s.max() <= 1.0
+
 
 class TestBba:
     def test_zero_distance_half_alpha(self):
@@ -126,6 +135,28 @@ class TestBba:
                       alpha_logits).data[..., IGNORANCE]
         floor = 1.0 - 1.0 / (1.0 + np.exp(-alpha_logits))
         assert np.all(m_omega >= floor - 1e-12)
+
+    @pytest.mark.parametrize("logit", [18.0, 100.0])
+    def test_saturated_float32_alpha_keeps_ignorance_positive(self, logit):
+        # logistic(18) rounds to 1.0 in float32; with s = 1 the ignorance
+        # mass was 1 - 1 * 1 = 0, its log -inf and the fusion gradients NaN
+        a = np.full(3, logit, np.float32)
+        assert np.all(EsParams(np.zeros((3, 2), np.float32),
+                               np.zeros((3, 2), np.float32), a,
+                               np.zeros(3, np.float32)).alphas < 1)
+        s = Tensor(np.ones((2, 3), np.float32), requires_grad=True)
+        v = Tensor(np.log([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]]
+                          ).astype(np.float32), requires_grad=True)
+        alpha_logits = Tensor(a, requires_grad=True)
+        masses = bba(s, v, alpha_logits)
+        assert masses.dtype == np.float32
+        assert np.all(masses.data[..., IGNORANCE] > 0)
+        fused = dempster_fuse(masses)
+        (fused[:, LESION] + fused[:, IGNORANCE] * fused[:, IGNORANCE]
+         ).sum().backward()
+        assert np.all(np.isfinite(fused.data))
+        for t in (s, v, alpha_logits):
+            assert np.all(np.isfinite(t.grad))
 
     def test_omega_mass_monotone_in_distance(self):
         # larger squared distance -> smaller s -> larger ignorance mass

@@ -88,6 +88,22 @@ class TestBackwardGradients:
                      + b * lv["x"].sigmoid().sum())
         np.testing.assert_allclose(gc, a * gf + b * gg, atol=1e-12)
 
+    @pytest.mark.parametrize("op, expected", [
+        (lambda x: x + x, lambda v: np.full_like(v, 2.0)),
+        (lambda x: x * x, lambda v: 2.0 * v)])
+    def test_leaf_feeding_both_operands(self, op, expected):
+        # add hands one g to both parents; the first must be copied, or the
+        # second accumulation would double the upstream gradient in place
+        v = np.array([[1.0, -2.0, 3.0], [0.5, 4.0, -1.0]])
+        x = Tensor(v.copy(), requires_grad=True)
+        y = op(x)
+        y.sum().backward()
+        np.testing.assert_array_equal(x.grad, expected(v))
+        np.testing.assert_array_equal(y.grad, np.ones_like(v))
+        assert x.grad.flags.writeable and x.grad.dtype == v.dtype
+        assert not np.shares_memory(x.grad, y.grad)
+        assert not np.shares_memory(x.grad, x.data)
+
     def test_replay_is_bit_reproducible(self):
         rng = np.random.default_rng(2)
         g = Graph(lambda lv, iv: (lv["x"].sigmoid() * lv["x"]).sum(),
@@ -103,19 +119,41 @@ class TestBackwardGradients:
 class TestStructuredOps:
     @pytest.mark.parametrize("k", [1, 3])
     def test_conv3d_matches_direct_convolution(self, k):
-        # independent recomputation of every output voxel by explicit summation
+        # independent recomputation of every output voxel by explicit
+        # summation; the non-cubic batch catches mixed-up spatial axes and
+        # samples bleeding into each other in the GEMM's N*X*Y*Z columns
         rng = np.random.default_rng(3)
-        x = rng.standard_normal((2, 2, 4, 4, 4))
-        w = rng.standard_normal((3, 2, k, k, k))
-        b = rng.standard_normal(3)
-        out = conv3d(Tensor(x), Tensor(w), Tensor(b)).data
-        p = k // 2
-        xp = np.pad(x, ((0, 0), (0, 0)) + ((p, p),) * 3)
-        expected = np.empty((2, 3, 4, 4, 4))
-        for n, o, i, j, l in np.ndindex(expected.shape):
-            expected[n, o, i, j, l] = (
-                xp[n, :, i:i + k, j:j + k, l:l + k] * w[o]).sum() + b[o]
-        np.testing.assert_allclose(out, expected, rtol=1e-10)
+        for shape in [(2, 2, 4, 4, 4), (2, 2, 3, 4, 5)]:
+            x = rng.standard_normal(shape)
+            w = rng.standard_normal((3, 2, k, k, k))
+            b = rng.standard_normal(3)
+            out = conv3d(Tensor(x), Tensor(w), Tensor(b)).data
+            p = k // 2
+            xp = np.pad(x, ((0, 0), (0, 0)) + ((p, p),) * 3)
+            expected = np.empty((2, 3) + shape[2:])
+            for n, o, i, j, l in np.ndindex(expected.shape):
+                expected[n, o, i, j, l] = (
+                    xp[n, :, i:i + k, j:j + k, l:l + k] * w[o]).sum() + b[o]
+            np.testing.assert_allclose(out, expected, rtol=1e-10)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_conv3d_float32_keeps_dtype_and_layout(self, k):
+        rng = np.random.default_rng(7)
+        arrays = {"x": rng.standard_normal((2, 3, 3, 4, 5)),
+                  "w": rng.standard_normal((4, 3, k, k, k)),
+                  "b": rng.standard_normal(4)}
+        g = rng.standard_normal((2, 4, 3, 4, 5))
+        results = {}
+        for dtype in (np.float64, np.float32):
+            t = {name: Tensor(a.astype(dtype), requires_grad=True)
+                 for name, a in arrays.items()}
+            out = conv3d(t["x"], t["w"], t["b"])
+            (out * Tensor(g.astype(dtype))).sum().backward()
+            results[dtype] = (out.data, t["x"].grad, t["w"].grad)
+        for r64, r32 in zip(results[np.float64], results[np.float32]):
+            assert r32.dtype == np.float32 and r32.flags.c_contiguous
+            np.testing.assert_allclose(r32, r64, rtol=1e-5,
+                                       atol=1e-5 * np.abs(r64).max())
 
     def test_conv3d_rejects_channel_mismatch(self):
         x = Tensor(np.zeros((1, 2, 4, 4, 4)))
@@ -183,14 +221,16 @@ class TestFiniteDifferenceCheck:
     @pytest.mark.parametrize("k", [1, 3])
     def test_conv3d_gradient_passes(self, k):
         rng = np.random.default_rng(6)
-        leaves = {"x": rng.standard_normal((2, 2, 4, 4, 4)),
-                  "w": 0.3 * rng.standard_normal((3, 2, k, k, k)),
-                  "b": rng.standard_normal(3)}
-        build = lambda lv, iv: conv3d(lv["x"], lv["w"], lv["b"]).sigmoid().sum()
-        g = Graph(build, leaves)
-        for leaf, value in leaves.items():
-            report = finite_difference_check(g, leaf)
-            assert report.passed and report.checked == value.size
+        for shape in [(2, 2, 4, 4, 4), (2, 2, 3, 4, 5)]:
+            leaves = {"x": rng.standard_normal(shape),
+                      "w": 0.3 * rng.standard_normal((3, 2, k, k, k)),
+                      "b": rng.standard_normal(3)}
+            build = lambda lv, iv: conv3d(lv["x"], lv["w"],
+                                          lv["b"]).sigmoid().sum()
+            g = Graph(build, leaves)
+            for leaf, value in leaves.items():
+                report = finite_difference_check(g, leaf)
+                assert report.passed and report.checked == value.size
 
     def test_constant_loss_passes(self):
         g = Graph(lambda lv, iv: (lv["x"] * 0.0).sum(), {"x": np.ones(4)})

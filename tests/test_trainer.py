@@ -346,19 +346,37 @@ class TestTrainLoop:
         assert logs[0] == logs[1]
 
     def test_nonfinite_gradient_stops_training(self):
-        # sigmoid(18) rounds to 1.0 in float32 and gamma 0 makes every
-        # distance activation 1, so m(Omega) = 0 and the log in the loss
-        # has an infinite derivative: the loss is finite, the gradients NaN
+        # gamma_root 1e20 squares to an infinite gamma in float32: every
+        # distance activation is 0, the masses vacuous and the loss finite,
+        # but the derivative through -gamma * d^2 is 0 * inf, NaN
         config = tiny_config(epochs=1)
         model = tiny_model(config=config)
-        model.params["es.alpha_logits"][:] = 18.0
-        model.params["es.gamma_roots"][:] = 0.0
+        model.params["es.gamma_roots"][:] = 1e20
         cases = tiny_cases(3)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingError,
-                               match="epoch 1, step 1: .*es.alpha_logits"):
+                               match="epoch 1, step 1: .*es.prototypes"):
                 train(model, cases[:2], cases[2:], config,
                       gradcheck_gate=False)
+
+    def test_saturated_float32_alpha_trains(self):
+        # alpha logit 18 rounds alpha to 1.0 in float32; with every feature
+        # on prototype 0 that prototype's m(Omega) was 1 - 1 * 1 = 0, and the
+        # prototype, alpha and gamma gradients NaN
+        config = tiny_config(epochs=1)
+        model = tiny_model(config=config)
+        p = model.params
+        p["es.alpha_logits"][:] = 18.0
+        p["es.gamma_roots"][:] = 0.1
+        p["final.w"][:] = 0.0
+        p["final.b"][:] = p["es.prototypes"][0]
+        cases = tiny_cases(3)
+        _, _, log = train(model, cases[:2], cases[2:], config,
+                          gradcheck_gate=False)
+        assert all(np.isfinite(v) for v in log[0].values())
+        masses = model.predict_masses(prepare_case(cases[2])[0][None])
+        assert np.all(np.isfinite(masses))
+        assert np.all(masses[..., 2] > 0)
 
     def test_empty_split_rejected(self):
         with pytest.raises(TrainingError):
