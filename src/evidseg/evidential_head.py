@@ -7,8 +7,10 @@ the whole frame, and the I mass functions are fused with Dempster's rule.
 
 Constrained quantities are reparameterized so optimization stays
 unconstrained: class memberships via exponential normalization of free
-logits, evidence strengths alpha via logistic squashing, scales gamma as
-squared roots.
+logits (`memberships`), evidence strengths alpha via logistic squashing
+(`strengths`), scales gamma as squared roots. The free parameters live
+only in the model's parameter dict, under the four `es.*` names; `bba` and
+the trainer's constraint check both map them through these functions.
 
 `es_forward` runs three stages over the M voxels of a batch, each one tape
 node with a hand-derived backward:
@@ -28,8 +30,6 @@ strided axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .tensor_core import Tensor, as_tensor
@@ -39,41 +39,11 @@ LESION, BACKGROUND, IGNORANCE = 0, 1, 2  # last-axis order of mass arrays
 CODE_BACKGROUND, CODE_LESION, CODE_IGNORANCE = 0.0, 1.0, 2.0
 
 
-@dataclass
-class EsParams:
-    """Free (unconstrained) parameters of the evidential head."""
-    prototypes: np.ndarray        # (I, C)
-    membership_logits: np.ndarray  # (I, K)
-    alpha_logits: np.ndarray      # (I,)
-    gamma_roots: np.ndarray       # (I,)
-
-    def __post_init__(self):
-        i, c = self.prototypes.shape
-        if self.membership_logits.shape != (i, K):
-            raise ValueError("membership_logits shape mismatch")
-        if self.alpha_logits.shape != (i,) or self.gamma_roots.shape != (i,):
-            raise ValueError("alpha/gamma shape mismatch")
-
-    # constrained views (numpy, for inspection and logging)
-    @property
-    def memberships(self):
-        e = np.exp(self.membership_logits
-                   - self.membership_logits.max(axis=1, keepdims=True))
-        return e / e.sum(axis=1, keepdims=True)
-
-    @property
-    def alphas(self):
-        return strengths(self.alpha_logits)
-
-    @property
-    def gammas(self):
-        return self.gamma_roots ** 2
-
-    def as_dict(self):
-        return {"es.prototypes": self.prototypes,
-                "es.membership_logits": self.membership_logits,
-                "es.alpha_logits": self.alpha_logits,
-                "es.gamma_roots": self.gamma_roots}
+def memberships(membership_logits):
+    """Class memberships u_ik: the softmax of the free logits over classes."""
+    e = np.exp(membership_logits
+               - membership_logits.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def strengths(alpha_logits):
@@ -130,8 +100,7 @@ def bba(s: Tensor, membership_logits, alpha_logits) -> Tensor:
     three masses of each prototype sum to 1 by construction.
     """
     s, v, a = map(as_tensor, (s, membership_logits, alpha_logits))
-    e = np.exp(v.data - v.data.max(axis=1, keepdims=True))
-    u = e / e.sum(axis=1, keepdims=True)     # (I, K) memberships
+    u = memberships(v.data)                 # (I, K)
     alpha = strengths(a.data)               # (I,), below 1
     sp = s.data.T                           # (I, M)
     planes = np.empty((K + 1,) + sp.shape,
@@ -221,11 +190,9 @@ def fuse_mass_arrays(masses: np.ndarray) -> np.ndarray:
 def es_forward(features: Tensor, params) -> Tensor:
     """Features (N, C, X, Y, Z) -> mass map (N, 3, X, Y, Z).
 
-    `params` is an EsParams or a dict of (possibly trainable) tensors with
-    the EsParams key names.
+    `params` maps the four `es.*` names (prototypes, membership_logits,
+    alpha_logits, gamma_roots) to arrays or (possibly trainable) tensors.
     """
-    if isinstance(params, EsParams):
-        params = params.as_dict()
     n, c = features.shape[0], features.shape[1]
     spatial = features.shape[2:]
     m = n * int(np.prod(spatial))

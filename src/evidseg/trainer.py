@@ -43,16 +43,29 @@ class TrainConfig:
     lesion_patch_fraction: float = 0.5
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        # chained comparisons are false for NaN, so NaN fails every check
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError("lr must be positive and finite")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError("lam must be nonnegative and finite")
         if self.prototypes < 1:
             raise ValueError("need at least one prototype")
         if not 0.0 < self.alpha_init < 1.0:
             raise ValueError("alpha_init must lie in (0, 1)")
-        if self.gamma_init < 0:
-            raise ValueError("gamma_init must be nonnegative")
+        # its root is stored in float32 and squared there
+        if not 0.0 <= self.gamma_init <= float(np.finfo(np.float32).max):
+            raise ValueError("gamma_init must lie in [0, float32 max]")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1)")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError("eps must be positive and finite")
+        if not 0.0 <= self.lesion_patch_fraction <= 1.0:
+            raise ValueError("lesion_patch_fraction must lie in [0, 1]")
         if self.dice_mode not in obj.DICE_MODES:
             raise ValueError(f"unknown dice mode {self.dice_mode!r}")
         self.patch_dims = tuple(int(d) for d in self.patch_dims)
@@ -68,17 +81,23 @@ def head_shapes(head: str, feature_dim: int, prototypes: int) -> dict:
 
 
 def init_es_params(config: TrainConfig, feature_dim: int, seed: int,
-                   dtype=np.float32) -> ev.EsParams:
-    """Uniform random prototypes/memberships; alpha and gamma at constants."""
+                   dtype=np.float32) -> dict:
+    """The four `es.*` arrays: uniform random prototypes and membership
+    logits; alpha and gamma at their configured constants."""
     rng = np.random.default_rng(seed)
     s = head_shapes("evidential", feature_dim, config.prototypes)
     a = config.alpha_init
-    return ev.EsParams(
-        rng.uniform(-1.0, 1.0, s["es.prototypes"]).astype(dtype),
-        rng.uniform(-0.1, 0.1, s["es.membership_logits"]).astype(dtype),
-        np.full(s["es.alpha_logits"], np.log(a / (1.0 - a)), dtype=dtype),
-        np.full(s["es.gamma_roots"], np.sqrt(config.gamma_init), dtype=dtype),
-    )
+    return {
+        "es.prototypes":
+            rng.uniform(-1.0, 1.0, s["es.prototypes"]).astype(dtype),
+        "es.membership_logits":
+            rng.uniform(-0.1, 0.1, s["es.membership_logits"]).astype(dtype),
+        "es.alpha_logits":
+            np.full(s["es.alpha_logits"], np.log(a / (1.0 - a)), dtype=dtype),
+        "es.gamma_roots":
+            np.full(s["es.gamma_roots"], np.sqrt(config.gamma_init),
+                    dtype=dtype),
+    }
 
 
 def softmax_forward(features: tc.Tensor, params) -> tc.Tensor:
@@ -109,8 +128,8 @@ class Model:
                                   derive_seed(seed, "backbone"), dtype=dtype)
         c = backbone_config.feature_dim
         if head == "evidential":
-            es = init_es_params(train_config, c, derive_seed(seed, "es"), dtype)
-            params.update(es.as_dict())
+            params.update(init_es_params(train_config, c,
+                                         derive_seed(seed, "es"), dtype))
         else:
             shape = head_shapes(head, c, train_config.prototypes)
             rng = np.random.default_rng(derive_seed(seed, "softmax-head"))
@@ -139,16 +158,6 @@ class Model:
         """(N, 2, X, Y, Z) -> (N, X, Y, Z, 3) numpy mass maps."""
         out, _ = self.forward(x, trainable=False)
         return out.data.transpose(0, 2, 3, 4, 1)
-
-    def es_params(self) -> ev.EsParams:
-        if self.head != "evidential":
-            raise ValueError("model has no evidential head")
-        return ev.EsParams(
-            prototypes=self.params["es.prototypes"],
-            membership_logits=self.params["es.membership_logits"],
-            alpha_logits=self.params["es.alpha_logits"],
-            gamma_roots=self.params["es.gamma_roots"],
-        )
 
 
 # -- Adam ------------------------------------------------------------------
@@ -360,7 +369,7 @@ def train(model: Model, train_cases, val_cases, config: TrainConfig,
                 sums[k] += v
             n_batches += 1
         if model.head == "evidential":
-            _assert_constraints(model.es_params())
+            _assert_constraints(model.params)
         val_dice, val_ign = validation_stats(model, val_data)
         record = {"epoch": epoch,
                   **{k: v / n_batches for k, v in sums.items()},
@@ -375,10 +384,10 @@ def train(model: Model, train_cases, val_cases, config: TrainConfig,
     return best_params, best_epoch, log
 
 
-def _assert_constraints(es: ev.EsParams):
-    u = es.memberships
+def _assert_constraints(params: dict):
+    u = ev.memberships(params["es.membership_logits"])
     if not np.allclose(u.sum(axis=1), 1.0, atol=1e-5):
         raise TrainingError("membership degrees no longer sum to 1")
-    a = es.alphas
+    a = ev.strengths(params["es.alpha_logits"])
     if np.any(a <= 0) or np.any(a >= 1):
         raise TrainingError("alpha left the open interval (0, 1)")

@@ -160,6 +160,9 @@ def read_volume(path) -> Volume:
             f"{path}: payload length mismatch "
             f"(expected {4 * count} bytes, got {len(payload)})")
     voxels = np.frombuffer(payload, dtype="<f4").reshape(dims).copy()
+    bad = np.count_nonzero(~np.isfinite(voxels))
+    if bad:
+        raise VolumeFormatError(f"{path}: {bad} non-finite voxel(s)")
     return Volume(tuple(dims), tuple(spacing), header["modality"], voxels)
 
 

@@ -53,14 +53,14 @@ def random_simple_bba(rng):
 
 
 def random_es_params(rng, prototypes=5, feature_dim=3):
-    from evidseg.evidential_head import EsParams
+    """The four `es.*` parameter arrays of a random float64 head."""
     i = prototypes
-    return EsParams(
-        prototypes=rng.uniform(-2.0, 2.0, size=(i, feature_dim)),
-        membership_logits=rng.uniform(-3.0, 3.0, size=(i, 2)),
-        alpha_logits=rng.uniform(-4.0, 4.0, size=i),
-        gamma_roots=rng.uniform(0.0, 1.5, size=i),
-    )
+    return {
+        "es.prototypes": rng.uniform(-2.0, 2.0, size=(i, feature_dim)),
+        "es.membership_logits": rng.uniform(-3.0, 3.0, size=(i, 2)),
+        "es.alpha_logits": rng.uniform(-4.0, 4.0, size=i),
+        "es.gamma_roots": rng.uniform(0.0, 1.5, size=i),
+    }
 
 
 def rewrite_header(path, edit):

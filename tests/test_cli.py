@@ -1,6 +1,7 @@
 """Run configuration parsing and the command-line pipeline end to end."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from evidseg.backbone_unet import BackboneConfig
 from evidseg.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from evidseg.config import SECTIONS, ConfigError, RunConfig
 from evidseg.trainer import TrainConfig, load_checkpoint, save_checkpoint
-from evidseg.volume_io import read_dataset, read_volume
+from evidseg.volume_io import read_dataset, read_volume, write_volume
 from helpers import rewrite_header
 
 # a valid value other than the default for every accepted key
@@ -166,17 +167,26 @@ class TestTrainCommand:
         assert "learning_rat" in capsys.readouterr().err
 
     def test_nonfinite_gradient_exit_code(self, dataset, tmp_path, capsys):
-        # gamma 1e40 is infinite in float32: every distance activation is
-        # 0 and the loss finite, but the gradients through it are 0 * inf
+        # one PET voxel of each train case at 3e38, finite in float32: the
+        # squared feature distances there overflow to inf, the activations
+        # are 0 and the loss finite, but the gamma gradient is 0 * inf
+        data = tmp_path / "ds"
+        shutil.copytree(dataset, data)
+        _, splits = read_dataset(data)
+        for case_id in splits["train"]:
+            path = data / case_id / "pet.evol"
+            pet = read_volume(path)
+            pet.voxels[0, 0, 0] = 3e38
+            write_volume(pet, path)
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
             "backbone": {"channels": [2, 4]},
-            "es": {"prototypes": 3, "gamma_init": 1e40},
+            "es": {"prototypes": 3},
             "train": {"epochs": 1, "patch_dims": [16, 16, 16]},
         }))
         with np.errstate(over="ignore", invalid="ignore"):
             code = main(["train", "--config", str(config), "--data",
-                         str(dataset), "--out", str(tmp_path / "m"),
+                         str(data), "--out", str(tmp_path / "m"),
                          "--skip-gradcheck"])
         assert code == EXIT_NUMERIC
         assert "non-finite gradient" in capsys.readouterr().err

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evidseg.evidential_head import (BACKGROUND, CODE_BACKGROUND, CODE_IGNORANCE,
-                                     CODE_LESION, EsParams, IGNORANCE, K, LESION,
-                                     bba, decide, dempster_fuse,
+                                     CODE_LESION, IGNORANCE, K, LESION, bba,
+                                     decide, dempster_fuse,
                                      distance_activation, es_forward,
-                                     fuse_mass_arrays, pignistic_lesion)
+                                     fuse_mass_arrays, memberships,
+                                     pignistic_lesion, strengths)
 from evidseg.tensor_core import Tensor
 from helpers import (powerset_fuse, random_es_params, random_simple_bba,
                      tape_es_forward)
@@ -23,30 +24,25 @@ def single_prototype_bba(alpha, gamma, u_lesion, d2):
 
 
 class TestEsParams:
+    """The constrained values of the `es.*` parameters."""
+
     def test_membership_rows_sum_to_one(self):
         es = random_es_params(np.random.default_rng(0))
-        np.testing.assert_allclose(es.memberships.sum(axis=1), 1.0,
-                                   atol=1e-12)
+        np.testing.assert_allclose(
+            memberships(es["es.membership_logits"]).sum(axis=1), 1.0,
+            atol=1e-12)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_tensor_softmax_is_memberships(self, seed):
         es = random_es_params(np.random.default_rng(seed), prototypes=7)
-        u = Tensor(es.membership_logits).softmax(axis=1).data
-        np.testing.assert_array_equal(u, es.memberships)
+        v = es["es.membership_logits"]
+        u = Tensor(v).softmax(axis=1).data
+        np.testing.assert_array_equal(u, memberships(v))
 
     def test_alphas_in_open_unit_interval(self):
         es = random_es_params(np.random.default_rng(1))
-        assert np.all(es.alphas > 0) and np.all(es.alphas < 1)
-
-    def test_gammas_nonnegative(self):
-        es = random_es_params(np.random.default_rng(2))
-        assert np.all(es.gammas >= 0)
-
-    def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            EsParams(prototypes=np.zeros((3, 2)),
-                     membership_logits=np.zeros((2, 2)),
-                     alpha_logits=np.zeros(3), gamma_roots=np.zeros(3))
+        alphas = strengths(es["es.alpha_logits"])
+        assert np.all(alphas > 0) and np.all(alphas < 1)
 
 
 class TestDistanceActivation:
@@ -141,9 +137,7 @@ class TestBba:
         # logistic(18) rounds to 1.0 in float32; with s = 1 the ignorance
         # mass was 1 - 1 * 1 = 0, its log -inf and the fusion gradients NaN
         a = np.full(3, logit, np.float32)
-        assert np.all(EsParams(np.zeros((3, 2), np.float32),
-                               np.zeros((3, 2), np.float32), a,
-                               np.zeros(3, np.float32)).alphas < 1)
+        assert np.all(strengths(a) < 1)
         s = Tensor(np.ones((2, 3), np.float32), requires_grad=True)
         v = Tensor(np.log([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]]
                           ).astype(np.float32), requires_grad=True)
@@ -213,9 +207,10 @@ class TestEsForward:
         f = rng.standard_normal((1, 2, 2, 2, 2))
         masses = es_forward(Tensor(f), es).data
         voxel = f[0, :, 0, 0, 0]
-        d2 = ((voxel - es.prototypes[0]) ** 2).sum()
-        expected = single_prototype_bba(es.alphas[0], es.gammas[0],
-                                        es.memberships[0, 0], d2)
+        d2 = ((voxel - es["es.prototypes"][0]) ** 2).sum()
+        expected = single_prototype_bba(
+            strengths(es["es.alpha_logits"])[0], es["es.gamma_roots"][0] ** 2,
+            memberships(es["es.membership_logits"])[0, 0], d2)
         np.testing.assert_allclose(masses[0, :, 0, 0, 0], expected,
                                    atol=1e-10)
 
@@ -223,17 +218,19 @@ class TestEsForward:
         # all gamma 0: s == 1 everywhere, fused masses identical per voxel
         rng = np.random.default_rng(12)
         i = 4
-        es = EsParams(prototypes=rng.standard_normal((i, 2)),
-                      membership_logits=rng.standard_normal((i, 2)),
-                      alpha_logits=np.zeros(i), gamma_roots=np.zeros(i))
+        es = {"es.prototypes": rng.standard_normal((i, 2)),
+              "es.membership_logits": rng.standard_normal((i, 2)),
+              "es.alpha_logits": np.zeros(i), "es.gamma_roots": np.zeros(i)}
         masses = es_forward(Tensor(rng.standard_normal((1, 2, 2, 2, 2))),
                             es).data
         omega = masses[0, IGNORANCE]
         np.testing.assert_allclose(omega, omega.flat[0], atol=1e-12)
         # closed form: mu(frame) = prod(1 - alpha_i) before normalization
-        expected = np.prod(1.0 - es.alphas)
-        singles = np.prod(es.alphas[:, None] * es.memberships
-                          + (1 - es.alphas)[:, None], axis=0) - expected
+        alphas = strengths(es["es.alpha_logits"])
+        expected = np.prod(1.0 - alphas)
+        singles = np.prod(alphas[:, None]
+                          * memberships(es["es.membership_logits"])
+                          + (1 - alphas)[:, None], axis=0) - expected
         norm = singles.sum() + expected
         np.testing.assert_allclose(omega.flat[0], expected / norm,
                                    atol=1e-12)
@@ -244,9 +241,11 @@ class TestEsForward:
         f = rng.standard_normal((1, 3, 2, 2, 2))
         masses = es_forward(Tensor(f), es).data
         voxel = f[0, :, 1, 0, 1]
-        d2 = ((voxel - es.prototypes) ** 2).sum(axis=1)
-        per_proto = [single_prototype_bba(es.alphas[i], es.gammas[i],
-                                          es.memberships[i, 0], d2[i])
+        d2 = ((voxel - es["es.prototypes"]) ** 2).sum(axis=1)
+        alphas = strengths(es["es.alpha_logits"])
+        gammas = es["es.gamma_roots"] ** 2
+        u = memberships(es["es.membership_logits"])
+        per_proto = [single_prototype_bba(alphas[i], gammas[i], u[i, 0], d2[i])
                      for i in range(4)]
         np.testing.assert_allclose(masses[0, :, 1, 0, 1],
                                    powerset_fuse(per_proto), atol=1e-10)
@@ -274,7 +273,7 @@ class TestFusedStages:
         f = 0.5 * rng.standard_normal((2, 4, 8, 8, 8))
         weights = rng.standard_normal((2, 3, 8, 8, 8))
         return (f.astype(dtype),
-                {k: v.astype(dtype) for k, v in es.as_dict().items()},
+                {k: v.astype(dtype) for k, v in es.items()},
                 weights.astype(dtype))
 
     def _masses_and_grads(self, head, seed, dtype):

@@ -103,7 +103,7 @@ class TestTotalLoss:
 
     def test_decomposition_identity(self):
         masses, g, es = self.random_mass_map(0)
-        total, br = total_loss(masses, g, es.alpha_logits, lam=1e-3)
+        total, br = total_loss(masses, g, es["es.alpha_logits"], lam=1e-3)
         assert br.total == pytest.approx(
             br.loss_d + br.loss_u + br.loss_reg, abs=1e-12)
         assert float(total.data) == pytest.approx(br.total, abs=1e-12)
@@ -116,17 +116,17 @@ class TestTotalLoss:
 
     def test_zero_lambda_drops_regularizer(self):
         masses, g, es = self.random_mass_map(2)
-        _, br = total_loss(masses, g, es.alpha_logits, lam=0.0)
+        _, br = total_loss(masses, g, es["es.alpha_logits"], lam=0.0)
         assert br.loss_reg == 0.0
 
     def test_negative_lambda_rejected(self):
         masses, g, es = self.random_mass_map(3)
         with pytest.raises(ValueError):
-            total_loss(masses, g, es.alpha_logits, lam=-1.0)
+            total_loss(masses, g, es["es.alpha_logits"], lam=-1.0)
 
     def test_breakdown_bounds(self):
         masses, g, es = self.random_mass_map(4)
-        _, br = total_loss(masses, g, es.alpha_logits, lam=1e-5)
+        _, br = total_loss(masses, g, es["es.alpha_logits"], lam=1e-5)
         assert 0.0 <= br.loss_d <= 1.0
         assert 0.0 <= br.loss_u <= 1.0
         assert br.loss_reg >= 0.0
@@ -134,7 +134,7 @@ class TestTotalLoss:
     def test_unknown_dice_mode_rejected(self):
         masses, g, es = self.random_mass_map(5)
         with pytest.raises(ValueError):
-            total_loss(masses, g, es.alpha_logits, dice_mode="argmax")
+            total_loss(masses, g, es["es.alpha_logits"], dice_mode="argmax")
 
 
 class TestSegmentationMaps:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from evidseg.gradcheck import finite_difference_check
+from evidseg.gradcheck import STEP, finite_difference_check
 from evidseg.tensor_core import (Graph, Tensor, TensorError, concat, conv3d,
                                  maxpool3d, upsample_nearest3d)
 
@@ -231,6 +231,25 @@ class TestFiniteDifferenceCheck:
             for leaf, value in leaves.items():
                 report = finite_difference_check(g, leaf)
                 assert report.passed and report.checked == value.size
+
+    def test_relu_kink_element_skipped(self):
+        # x[2] lies within STEP of 0, so x[2] - STEP turns its relu off: the
+        # central difference there would read 1.5 against the gradient 3
+        x = np.array([0.5, -0.7, 0.5 * STEP, 1.2, -0.3])
+        g = Graph(lambda lv, iv: (lv["x"].relu() * 3.0).sum(), {"x": x})
+        report = finite_difference_check(g, "x")
+        assert report.skipped_at_kink == 1 and report.checked == 4
+        assert report.passed
+
+    def test_maxpool_near_tie_skips_both_entries(self):
+        # the window's two largest entries lie within STEP of each other,
+        # so moving either by STEP swaps the argmax; the other six do not
+        x = np.linspace(-0.5, 0.5, 8).reshape(1, 1, 2, 2, 2)
+        x[0, 0, 0, 0, 0], x[0, 0, 1, 1, 1] = 0.9, 0.9 + 0.5 * STEP
+        g = Graph(lambda lv, iv: (maxpool3d(lv["x"]) * 2.0).sum(), {"x": x})
+        report = finite_difference_check(g, "x")
+        assert report.skipped_at_kink == 2 and report.checked == 6
+        assert report.passed
 
     def test_constant_loss_passes(self):
         g = Graph(lambda lv, iv: (lv["x"] * 0.0).sum(), {"x": np.ones(4)})

@@ -1,9 +1,12 @@
 """Initialization constants, Adam behavior, checkpoints, the epoch loop."""
 
+import math
+
 import numpy as np
 import pytest
 
 from evidseg.backbone_unet import BackboneConfig
+from evidseg.evidential_head import memberships, strengths
 from evidseg.objectives import dice_loss, lesion_map, total_loss
 from evidseg.trainer import (Model, TrainConfig, TrainingError, adam_init,
                              adam_step, init_es_params, load_checkpoint,
@@ -45,27 +48,47 @@ class TestConfig:
         with pytest.raises(ValueError):
             TrainConfig(**kw)
 
+    @pytest.mark.parametrize("name,value", [
+        ("lr", math.nan), ("lr", math.inf), ("lam", math.nan),
+        ("lam", math.inf), ("lam", -1e-5), ("gamma_init", math.nan),
+        ("gamma_init", math.inf), ("gamma_init", 1e40), ("batch_size", 0),
+        ("beta1", math.nan), ("beta1", 1.0), ("beta2", math.inf),
+        ("eps", math.nan), ("eps", math.inf), ("eps", 0.0),
+        ("lesion_patch_fraction", math.nan),
+        ("lesion_patch_fraction", math.inf),
+        ("lesion_patch_fraction", 1.5)])
+    def test_untrainable_value_named_in_error(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: value})
+
+    def test_largest_gamma_init_squares_finite(self):
+        config = TrainConfig(gamma_init=float(np.finfo(np.float32).max))
+        roots = init_es_params(config, 4, seed=0)["es.gamma_roots"]
+        assert np.all(np.isfinite(roots ** 2))
+
 
 class TestInitEsParams:
     def test_alpha_squashes_to_half(self):
         es = init_es_params(TrainConfig(), feature_dim=4, seed=0)
-        np.testing.assert_allclose(es.alphas, 0.5, atol=1e-7)
+        np.testing.assert_allclose(strengths(es["es.alpha_logits"]), 0.5,
+                                   atol=1e-7)
 
     def test_gamma_is_squared_root(self):
         es = init_es_params(TrainConfig(), feature_dim=4, seed=0)
-        np.testing.assert_allclose(es.gammas, 0.01, atol=1e-7)
+        np.testing.assert_allclose(es["es.gamma_roots"] ** 2, 0.01,
+                                   atol=1e-7)
 
     def test_prototypes_in_unit_box(self):
         es = init_es_params(TrainConfig(), feature_dim=4, seed=0)
-        assert np.all(np.abs(es.prototypes) <= 1.0)
-        assert np.all(np.abs(es.membership_logits) <= 0.1)
+        assert np.all(np.abs(es["es.prototypes"]) <= 1.0)
+        assert np.all(np.abs(es["es.membership_logits"]) <= 0.1)
 
     def test_determinism(self):
         a = init_es_params(TrainConfig(), 4, seed=5)
         b = init_es_params(TrainConfig(), 4, seed=5)
-        np.testing.assert_array_equal(a.prototypes, b.prototypes)
-        np.testing.assert_array_equal(a.membership_logits,
-                                      b.membership_logits)
+        np.testing.assert_array_equal(a["es.prototypes"], b["es.prototypes"])
+        np.testing.assert_array_equal(a["es.membership_logits"],
+                                      b["es.membership_logits"])
 
 
 class TestAdam:
@@ -286,10 +309,10 @@ class TestTrainLoop:
         for record in log:
             assert set(record) >= {"epoch", "loss_d", "loss_u", "loss_reg",
                                    "total", "val_dice"}
-        es = model.es_params()
-        np.testing.assert_allclose(es.memberships.sum(axis=1), 1.0,
-                                   atol=1e-5)
-        assert np.all(es.alphas > 0) and np.all(es.alphas < 1)
+        u = memberships(model.params["es.membership_logits"])
+        np.testing.assert_allclose(u.sum(axis=1), 1.0, atol=1e-5)
+        alphas = strengths(model.params["es.alpha_logits"])
+        assert np.all(alphas > 0) and np.all(alphas < 1)
 
     def test_fixed_seed_reproduces_epoch_log(self):
         cases = tiny_cases(4)

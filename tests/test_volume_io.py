@@ -139,9 +139,11 @@ class TestEvolFormat:
         b"EVIDVOL1\x05",
         b"EVIDVOL1" + struct.pack("<I", 3) + b"{x}" + b"\0" * 32,
         b"EVIDVOL1" + struct.pack("<I", 2) + b"\xff\xfe" + b"\0" * 32,
+        evol_bytes(GOOD_HEADER, np.array([0, 0, np.nan, 0, 0, np.inf, 0, 0],
+                                         dtype="<f4").tobytes()),
     ], ids=["float-dims", "negative-dims", "two-axis-dims", "missing-dims",
             "list-header", "dtype-f64", "nine-byte-file", "bad-json",
-            "bad-utf8"])
+            "bad-utf8", "nonfinite-voxels"])
     def test_malformed_header_is_format_error(self, tmp_path, raw):
         path = tmp_path / "bad.evol"
         path.write_bytes(raw)
