@@ -69,6 +69,9 @@ class TrainConfig:
         if self.dice_mode not in obj.DICE_MODES:
             raise ValueError(f"unknown dice mode {self.dice_mode!r}")
         self.patch_dims = tuple(int(d) for d in self.patch_dims)
+        if len(self.patch_dims) != 3 or min(self.patch_dims) < 1:
+            raise ValueError(f"patch_dims must be three positive sizes, "
+                             f"got {self.patch_dims}")
 
 
 def head_shapes(head: str, feature_dim: int, prototypes: int) -> dict:
@@ -320,6 +323,11 @@ def train(model: Model, train_cases, val_cases, config: TrainConfig,
     """
     if not train_cases or not val_cases:
         raise TrainingError("empty train or validation split")
+    for case in list(train_cases) + list(val_cases):
+        dims = tuple(case.pet.dims)
+        if any(p > d for p, d in zip(config.patch_dims, dims)):
+            raise ValueError(f"patch_dims {config.patch_dims} do not fit "
+                             f"case {case.id!r} of shape {dims}")
     if gradcheck_gate:
         from .gradcheck import run_gate
         failures = run_gate()

@@ -1,8 +1,11 @@
 """Autodiff engine: forward values, backward gradients, FD harness."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from evidseg import tensor_core as tc
 from evidseg.gradcheck import STEP, finite_difference_check
 from evidseg.tensor_core import (Graph, Tensor, TensorError, concat, conv3d,
                                  maxpool3d, upsample_nearest3d)
@@ -12,6 +15,37 @@ def scalar_graph(build, leaves, inputs=None):
     g = Graph(build, leaves)
     value = g.forward_eval(inputs or {})
     return g, value
+
+
+def direct_conv3d(x, w, b):
+    """Same-padded correlation by explicit summation over each output
+    voxel's window, independent of the GEMM path."""
+    k = w.shape[2]
+    p = k // 2
+    xp = np.pad(x, ((0, 0), (0, 0)) + ((p, p),) * 3)
+    out = np.empty((x.shape[0], w.shape[0]) + x.shape[2:])
+    for n, o, i, j, l in np.ndindex(out.shape):
+        out[n, o, i, j, l] = (
+            xp[n, :, i:i + k, j:j + k, l:l + k] * w[o]).sum() + b[o]
+    return out
+
+
+def direct_conv3d_grads(x, w, g):
+    """Gradients of sum(direct_conv3d(x, w, b) * g) for x, w and b, from one
+    kernel tap at a time: tap (a, c, d) reads the input shifted by it."""
+    k = w.shape[2]
+    p = k // 2
+    sx, sy, sz = x.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0)) + ((p, p),) * 3)
+    gxp = np.zeros_like(xp)
+    gw = np.empty_like(w)
+    for a, c, d in np.ndindex(k, k, k):
+        shifted = (slice(None), slice(None), slice(a, a + sx),
+                   slice(c, c + sy), slice(d, d + sz))
+        gw[:, :, a, c, d] = np.einsum("noxyz,ncxyz->oc", g, xp[shifted])
+        gxp[shifted] += np.einsum("noxyz,oc->ncxyz", g, w[:, :, a, c, d])
+    gx = gxp[:, :, p:p + sx, p:p + sy, p:p + sz]
+    return gx, gw, g.sum(axis=(0, 2, 3, 4))
 
 
 class TestForwardEval:
@@ -128,13 +162,8 @@ class TestStructuredOps:
             w = rng.standard_normal((3, 2, k, k, k))
             b = rng.standard_normal(3)
             out = conv3d(Tensor(x), Tensor(w), Tensor(b)).data
-            p = k // 2
-            xp = np.pad(x, ((0, 0), (0, 0)) + ((p, p),) * 3)
-            expected = np.empty((2, 3) + shape[2:])
-            for n, o, i, j, l in np.ndindex(expected.shape):
-                expected[n, o, i, j, l] = (
-                    xp[n, :, i:i + k, j:j + k, l:l + k] * w[o]).sum() + b[o]
-            np.testing.assert_allclose(out, expected, rtol=1e-10)
+            np.testing.assert_allclose(out, direct_conv3d(x, w, b),
+                                       rtol=1e-10)
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_conv3d_float32_keeps_dtype_and_layout(self, k):
@@ -194,6 +223,91 @@ class TestStructuredOps:
         assert out.shape == (1, 5, 2, 2, 2)
         np.testing.assert_array_equal(out[:, :2], a)
         np.testing.assert_array_equal(out[:, 2:], b)
+
+
+class TestConv3dSlabs:
+    """conv3d builds its patch matrix one slab of output x-planes at a time;
+    these force several slabs per batch item, including a short last one."""
+
+    SHAPE = (2, 2, 7, 3, 4)  # batch 2, 2 channels, X = 7
+
+    @staticmethod
+    def force_planes(monkeypatch, planes, k):
+        # the slab budget of `planes` x-planes of the float64 input's patch
+        # matrix (2 * k^3 rows of 3 * 4 columns each)
+        n, c, sx, sy, sz = TestConv3dSlabs.SHAPE
+        monkeypatch.setattr(tc, "_SLAB_BYTES",
+                            planes * c * k ** 3 * sy * sz * 8)
+
+    @staticmethod
+    def arrays(seed, k):
+        rng = np.random.default_rng(seed)
+        shape = TestConv3dSlabs.SHAPE
+        return (rng.standard_normal(shape),
+                0.3 * rng.standard_normal((3, shape[1], k, k, k)),
+                rng.standard_normal(3),
+                rng.standard_normal((shape[0], 3) + shape[2:]))
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("planes, widths", [
+        (1, [1] * 7), (2, [2, 2, 2, 1])])
+    def test_matches_direct_summation(self, monkeypatch, k, planes, widths):
+        self.force_planes(monkeypatch, planes, k)
+        x, w, b, g = self.arrays(8, k)
+        slabs = [(i, x1 - x0) for i, x0, x1, _ in tc._slabs(x, k)]
+        assert slabs == [(i, s) for i in range(2) for s in widths]
+        t = {"x": Tensor(x, requires_grad=True),
+             "w": Tensor(w, requires_grad=True),
+             "b": Tensor(b, requires_grad=True)}
+        out = conv3d(t["x"], t["w"], t["b"])
+        (out * Tensor(g)).sum().backward()
+        expected = (direct_conv3d(x, w, b),) + direct_conv3d_grads(x, w, g)
+        for got, want in zip((out.data, t["x"].grad, t["w"].grad,
+                              t["b"].grad), expected):
+            np.testing.assert_allclose(got, want, rtol=1e-10,
+                                       atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("planes", [1, 2])
+    def test_gradients_pass_finite_differences(self, monkeypatch, k, planes):
+        self.force_planes(monkeypatch, planes, k)
+        x, w, b, _ = self.arrays(9, k)
+        leaves = {"x": x, "w": w, "b": b}
+        g = Graph(lambda lv, iv: conv3d(lv["x"], lv["w"],
+                                        lv["b"]).sigmoid().sum(), leaves)
+        for leaf, value in leaves.items():
+            report = finite_difference_check(g, leaf)
+            assert report.passed and report.checked == value.size
+
+    def test_desk_dec0_peak_memory_is_a_slab_not_the_patch_matrix(self):
+        # dec0.conv0 at desk shapes, float32: (2, 8, 32^3) -> 4 channels.
+        # The whole patch matrix would be 8*27 x 2*32^3 floats, 56.6 MB.
+        # A forward and backward holds at most, at the same time:
+        # - the output and its gradient (2 * out);
+        # - the input gradient and its copy into x.grad (2 * x);
+        # - one zero-padded copy of x or of g, at most (34/32)^3 * x;
+        # - one slab: _SLAB_BYTES, or one x-plane of the patch matrix
+        #   (8*27 rows x 32^2 columns) where that is larger;
+        # - 64 KiB for w, its gradient and small temporaries.
+        rng = np.random.default_rng(10)
+        x = Tensor(rng.standard_normal((2, 8, 32, 32, 32), dtype=np.float32),
+                   requires_grad=True)
+        w = Tensor(0.1 * rng.standard_normal((4, 8, 3, 3, 3),
+                                             dtype=np.float32),
+                   requires_grad=True)
+        b = Tensor(np.zeros(4, np.float32), requires_grad=True)
+        x_bytes, out_bytes = x.data.nbytes, x.data.nbytes // 2
+        slab = max(tc._SLAB_BYTES, 8 * 27 * 32 * 32 * 4)
+        bound = (2 * out_bytes + 2 * x_bytes + (34 / 32) ** 3 * x_bytes
+                 + slab + (64 << 10))
+        tracemalloc.start()
+        try:
+            conv3d(x, w, b).sum().backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.grad.shape == x.shape and w.grad.shape == w.shape
+        assert peak <= bound, f"peak {peak:,} B over the bound {bound:,.0f} B"
 
 
 class TestFiniteDifferenceCheck:

@@ -56,7 +56,8 @@ class TestConfig:
         ("eps", math.nan), ("eps", math.inf), ("eps", 0.0),
         ("lesion_patch_fraction", math.nan),
         ("lesion_patch_fraction", math.inf),
-        ("lesion_patch_fraction", 1.5)])
+        ("lesion_patch_fraction", 1.5), ("patch_dims", (0, 0, 0)),
+        ("patch_dims", (16, -1, 16)), ("patch_dims", (16, 16))])
     def test_untrainable_value_named_in_error(self, name, value):
         with pytest.raises(ValueError, match=name):
             TrainConfig(**{name: value})
@@ -313,6 +314,22 @@ class TestTrainLoop:
         np.testing.assert_allclose(u.sum(axis=1), 1.0, atol=1e-5)
         alphas = strengths(model.params["es.alpha_logits"])
         assert np.all(alphas > 0) and np.all(alphas < 1)
+
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_patch_larger_than_volume_rejected(self, split):
+        # 32^3 cases fit a 20^3 patch, the 16^3 ones do not
+        small = tiny_cases(1, start_seed=7)[0]
+        large = [generate_phantom(s, (32, 32, 32), (1, 2)) for s in range(2)]
+        train_cases, val_cases = ([small], large) if split == "train" \
+            else (large, [small])
+        model = tiny_model()
+        before = {k: v.copy() for k, v in model.params.items()}
+        with pytest.raises(ValueError, match=r"patch_dims \(20, 20, 20\).*"
+                           + small.id + r".*\(16, 16, 16\)"):
+            train(model, train_cases, val_cases,
+                  tiny_config(patch_dims=(20, 20, 20)), gradcheck_gate=False)
+        for k, v in model.params.items():
+            np.testing.assert_array_equal(v, before[k])
 
     def test_fixed_seed_reproduces_epoch_log(self):
         cases = tiny_cases(4)
