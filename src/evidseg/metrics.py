@@ -109,6 +109,10 @@ def window_starts(extent: int, patch: int, stride: int):
     """Window origins covering [0, extent) with the last window clamped."""
     if patch > extent:
         raise ValueError(f"patch {patch} exceeds extent {extent}")
+    # a stride over the patch leaves the voxels between two windows unseen
+    if not 1 <= stride <= patch:
+        raise ValueError(f"stride {stride} must lie in [1, {patch}], the "
+                         f"window size")
     starts = list(range(0, extent - patch + 1, stride))
     if starts[-1] != extent - patch:
         starts.append(extent - patch)

@@ -1,20 +1,21 @@
 """Dense nd-arrays with reverse-mode differentiation.
 
-Only the operation set needed by the segmentation model is implemented:
-elementwise arithmetic, exp/log, rectifier, logistic squashing, softmax (a
-composite of these), reductions, matmul, basic indexing (ints, slices,
-Ellipsis), channel concatenation, 3D convolution (stride 1, same padding),
-2x max-pooling and 2x nearest-neighbour upsampling. conv3d is a blocked
-im2col GEMM for every kernel size, the forward and both gradients: the patch
-matrix of the zero-padded input is built one slab of output x-planes at a
-time, small enough to stay in cache, and each slab is multiplied into its
-slice of the output (or summed into the weight gradient) before the next.
-`as_tensor` turns any other operand into a constant Tensor.
+Only the ops the segmentation model records are implemented: add, sub, mul
+and div with broadcasting, exp, rectifier, logistic squashing, softmax (a
+composite of these), sums and the mean of all elements, reshape, transpose,
+basic indexing (ints, slices, Ellipsis), channel concatenation, 3D
+convolution (stride 1, same padding), 2x max-pooling and 2x
+nearest-neighbour upsampling; the evidential head adds three fused ops of
+its own. conv3d is a blocked im2col GEMM for the forward and both
+gradients: the patch matrix of the zero-padded input is built one
+cache-sized slab of output x-planes at a time, and each slab is multiplied
+into its slice of the output (or summed into the weight gradient) before
+the next. `as_tensor` turns any other operand into a constant Tensor.
 
-Layout is row-major with the last index varying fastest, matching the
-volume file format. Gradient checking always runs in float64; float32 is
-for training speed only. The checker itself lives in `gradcheck`;
-Graph and track_patterns stay here: perfbench's traced run wraps tc.Graph.
+Layout is row-major, matching the volume file format. `Graph` is the
+float64 function the checker in `gradcheck` differentiates; it and
+`track_patterns` stay in this module because perfbench's traced run wraps
+`tc.Graph` in place.
 """
 
 from __future__ import annotations
@@ -52,17 +53,18 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-# when enabled, relu/maxpool record their activation pattern; the
-# finite-difference checker skips elements whose pattern flips between the
-# two perturbed evaluations, where a central difference is not a derivative
-_TRACK_PATTERNS = False
-_PATTERNS: list = []
+# a list while tracking is on, else None: relu and maxpool append a hash of
+# their activation pattern, and the finite-difference checker skips elements
+# whose patterns differ between evaluations, since there a central
+# difference straddles a kink and is not a derivative
+_PATTERNS = None
 
 
 def track_patterns(enable: bool):
-    global _TRACK_PATTERNS
-    _TRACK_PATTERNS = enable
-    _PATTERNS.clear()
+    """Start (with an empty list, which is returned) or stop tracking."""
+    global _PATTERNS
+    _PATTERNS = [] if enable else None
+    return _PATTERNS
 
 
 def as_tensor(x, dtype=None):
@@ -117,9 +119,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return self._make(-self.data, "neg", (self,), lambda g: (-g,))
-
     def __sub__(self, other):
         other = as_tensor(other, self.dtype)
 
@@ -151,28 +150,15 @@ class Tensor:
 
         return self._make(self.data / other.data, "div", (self, other), backward)
 
-    def __pow__(self, n):
-        if not isinstance(n, (int, float)):
-            raise TensorError("only constant exponents are supported")
-
-        def backward(g):
-            return (g * n * self.data ** (n - 1),)
-
-        return self._make(self.data ** n, f"pow{n}", (self,), backward)
-
     # -- elementwise functions --------------------------------------------
 
     def exp(self):
         out_data = np.exp(self.data)
         return self._make(out_data, "exp", (self,), lambda g: (g * out_data,))
 
-    def log(self):
-        return self._make(np.log(self.data), "log", (self,),
-                          lambda g: (g / self.data,))
-
     def relu(self):
         mask = self.data > 0
-        if _TRACK_PATTERNS:
+        if _PATTERNS is not None:
             _PATTERNS.append(hash(mask.tobytes()))
         return self._make(np.where(mask, self.data, 0.0), "relu", (self,),
                           lambda g: (g * mask,))
@@ -198,10 +184,8 @@ class Tensor:
         return self._make(self.data.sum(axis=axis, keepdims=keepdims),
                           "sum", (self,), backward)
 
-    def mean(self, axis=None, keepdims=False):
-        n = self.data.size if axis is None else np.prod(
-            [self.shape[a] for a in np.atleast_1d(axis)])
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / float(n))
+    def mean(self):
+        return self.sum() * (1.0 / self.data.size)
 
     def reshape(self, *shape):
         def backward(g):
@@ -231,16 +215,6 @@ class Tensor:
             return (full,)
 
         return self._make(self.data[index], "getitem", (self,), backward)
-
-    def __matmul__(self, other):
-        other = as_tensor(other, self.dtype)
-        if self.data.ndim != 2 or other.data.ndim != 2:
-            raise TensorError("matmul expects 2-D operands")
-
-        def backward(g):
-            return (g @ other.data.T, self.data.T @ g)
-
-        return self._make(self.data @ other.data, "matmul", (self, other), backward)
 
     # -- backward pass -----------------------------------------------------
 
@@ -374,7 +348,7 @@ def maxpool3d(x: Tensor):
     v = np.ascontiguousarray(v.transpose(0, 1, 2, 4, 6, 3, 5, 7))
     v = v.reshape(n, c, sx // 2, sy // 2, sz // 2, 8)
     idx = v.argmax(axis=-1)
-    if _TRACK_PATTERNS:
+    if _PATTERNS is not None:
         _PATTERNS.append(hash(idx.tobytes()))
     out_data = np.take_along_axis(v, idx[..., None], axis=-1)[..., 0]
 
@@ -403,29 +377,25 @@ def upsample_nearest3d(x: Tensor):
 # -- graph wrapper ---------------------------------------------------------
 
 class Graph:
-    """A differentiable scalar function of named leaf tensors.
+    """A differentiable float64 scalar function of named leaf tensors.
 
     `build(leaves, inputs)` receives dicts of Tensors and must return a
     scalar Tensor. Leaves are trainable; inputs are constants.
     """
 
-    def __init__(self, build, leaves: dict, dtype=np.float64):
+    def __init__(self, build, leaves: dict):
         self.build = build
-        self.dtype = np.dtype(dtype)
-        self.leaves = {k: np.asarray(v, dtype=self.dtype) for k, v in leaves.items()}
+        self.leaves = {k: np.asarray(v, dtype=np.float64)
+                       for k, v in leaves.items()}
         self._output = None
         self._leaf_tensors = None
-        self.last_pattern = ()
 
     def forward_eval(self, inputs: dict | None = None) -> float:
         self._leaf_tensors = {k: Tensor(v, requires_grad=True)
                               for k, v in self.leaves.items()}
-        in_tensors = {k: Tensor(np.asarray(v, dtype=self.dtype))
+        in_tensors = {k: Tensor(np.asarray(v, dtype=np.float64))
                       for k, v in (inputs or {}).items()}
-        if _TRACK_PATTERNS:
-            _PATTERNS.clear()
         out = self.build(self._leaf_tensors, in_tensors)
-        self.last_pattern = tuple(_PATTERNS) if _TRACK_PATTERNS else ()
         if out.data.size != 1:
             raise TensorError("graph output must be scalar")
         if not np.isfinite(out.data):

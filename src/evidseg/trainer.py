@@ -328,6 +328,10 @@ def train(model: Model, train_cases, val_cases, config: TrainConfig,
         if any(p > d for p, d in zip(config.patch_dims, dims)):
             raise ValueError(f"patch_dims {config.patch_dims} do not fit "
                              f"case {case.id!r} of shape {dims}")
+    try:
+        model.backbone_config.check_dims(config.patch_dims)
+    except ValueError as e:
+        raise ValueError(f"patch_dims: {e}") from None
     if gradcheck_gate:
         from .gradcheck import run_gate
         failures = run_gate()

@@ -81,11 +81,12 @@ def tape_distance_activation(features: Tensor, prototypes, gamma_roots) -> Tenso
     if f.shape[1] != p.shape[1]:
         raise ValueError(
             f"feature dim {f.shape[1]} != prototype dim {p.shape[1]}")
-    d2 = ((f * f).sum(axis=1, keepdims=True)
-          - 2.0 * (f @ p.transpose(1, 0))
-          + (p * p).sum(axis=1))  # (M, I)
+    m, c = f.shape
+    i = p.shape[0]
+    diff = f.reshape(m, 1, c) - p.reshape(1, i, c)  # (M, I, C)
+    d2 = (diff * diff).sum(axis=2)                   # (M, I)
     gamma = eta * eta
-    return (-(d2 * gamma.reshape(1, -1))).exp()
+    return (d2 * gamma.reshape(1, -1) * -1.0).exp()
 
 
 def tape_bba(s: Tensor, membership_logits, alpha_logits):
@@ -108,15 +109,16 @@ def tape_dempster_fuse(m_sing: Tensor, m_omega: Tensor) -> Tensor:
 
     Closed form on a 2-class frame: the unnormalized singleton mass is
     prod_i(m_i({k}) + m_i(Omega)) - prod_i m_i(Omega), the unnormalized
-    ignorance mass is prod_i m_i(Omega). Products run in log space; every
-    factor is positive because each prototype keeps m_i(Omega) > 0.
+    ignorance mass is prod_i m_i(Omega). The products are taken directly,
+    one prototype at a time, not in log space as the package does.
     Returns (M, 3) masses ordered (lesion, background, ignorance).
     """
     m, i, k = m_sing.shape
-    log_w = (m_sing + m_omega.reshape(m, i, 1)).log().sum(axis=1)  # (M, K)
-    log_o = m_omega.log().sum(axis=1)                              # (M,)
-    w = log_w.exp()
-    o = log_o.exp()
+    w = m_sing[:, 0] + m_omega[:, 0:1]  # (M, K)
+    o = m_omega[:, 0]                   # (M,)
+    for j in range(1, i):
+        w = w * (m_sing[:, j] + m_omega[:, j:j + 1])
+        o = o * m_omega[:, j]
     mu_sing = w - o.reshape(m, 1)
     norm = mu_sing.sum(axis=1) + o                                 # (M,)
     masses = concat([mu_sing, o.reshape(m, 1)], axis=1)

@@ -68,10 +68,12 @@ def test_criterion_3_gradient_gate():
     cases = ("distance_activation", "bba", "dempster_fuse", "es_forward",
              "dice_loss_pignistic", "dice_loss_singleton",
              "uncertainty_loss", "total_loss", "backbone_tiny")
+    # the step and tolerance the specification fixes
+    assert (gc.STEP, gc.TOL) == (1e-3, 1e-4)
     start = time.time()
     failures = []
     for name in cases:
-        result = gc.run_case(name, instances=20, step=1e-3, tol=1e-4)
+        result = gc.run_case(name, instances=20)
         if not result.passed:
             failures.append((name, result.max_error))
     assert not failures, f"gradient check failed: {failures}"

@@ -10,7 +10,8 @@ from evidseg.backbone_unet import BackboneConfig
 from evidseg.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from evidseg.config import SECTIONS, ConfigError, RunConfig
 from evidseg.trainer import TrainConfig, load_checkpoint, save_checkpoint
-from evidseg.volume_io import read_dataset, read_volume, write_volume
+from evidseg.volume_io import (generate_phantom, read_dataset, read_volume,
+                               write_case, write_volume)
 from helpers import rewrite_header
 
 # a valid value other than the default for every accepted key
@@ -224,6 +225,20 @@ class TestPredictCommand:
         assert set(np.unique(three_way.voxels)) <= {0.0, 1.0, 2.0}
         assert uncertainty.voxels.min() >= 0.0
         assert uncertainty.voxels.max() <= 1.0
+
+    def test_stride_over_patch_exit_code(self, tiny_run, tmp_path, capsys):
+        # 16^3 windows at 0 and 32 on a 48^3 case: stride 40 would leave
+        # voxels 16-31 of each axis unpredicted
+        case_dir = tmp_path / "case"
+        write_case(generate_phantom(3, (48, 48, 48), (1, 2)), case_dir)
+        out = tmp_path / "pred"
+        code = main(["predict", "--ckpt",
+                     str(tiny_run / "model" / "checkpoint.evckpt"),
+                     "--case", str(case_dir), "--out", str(out),
+                     "--stride", "40"])
+        assert code == EXIT_CONFIG
+        assert "stride 40" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEvalCommand:

@@ -159,6 +159,15 @@ class TestSlidingWindow:
         with pytest.raises(ValueError):
             window_starts(16, 32, 16)
 
+    @pytest.mark.parametrize("stride", [0, -16, 17])
+    def test_stride_outside_one_to_patch_rejected(self, stride):
+        # 17 would skip voxel 16, between the windows at 0 and 17
+        with pytest.raises(ValueError, match=f"stride {stride}"):
+            window_starts(48, 16, stride)
+
+    def test_stride_equal_to_patch_tiles_extent(self):
+        assert window_starts(48, 16, 16) == [0, 16, 32]
+
     def test_constant_forward_reproduced(self):
         mass = np.array([0.6, 0.3, 0.1])
 

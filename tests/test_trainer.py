@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from evidseg import gradcheck
 from evidseg.backbone_unet import BackboneConfig
 from evidseg.evidential_head import memberships, strengths
 from evidseg.objectives import dice_loss, lesion_map, total_loss
@@ -330,6 +331,19 @@ class TestTrainLoop:
                   tiny_config(patch_dims=(20, 20, 20)), gradcheck_gate=False)
         for k, v in model.params.items():
             np.testing.assert_array_equal(v, before[k])
+
+    def test_patch_the_backbone_cannot_pool_rejected(self, monkeypatch):
+        # the desk backbone pools twice, so patch sizes must divide by 4;
+        # the check comes before the gradient-check gate does any work
+        def gate():
+            raise AssertionError("gradient-check gate ran")
+
+        monkeypatch.setattr(gradcheck, "run_gate", gate)
+        config = tiny_config(patch_dims=(14, 14, 14))
+        model = Model.create(BackboneConfig(), "evidential", config, 0)
+        cases = tiny_cases(2)
+        with pytest.raises(ValueError, match="patch_dims.*divisible by 4"):
+            train(model, cases[:1], cases[1:], config)
 
     def test_fixed_seed_reproduces_epoch_log(self):
         cases = tiny_cases(4)
