@@ -21,12 +21,20 @@ DESK_CHANNELS = (4, 8, 16)            # desk-scale default
 IN_CHANNELS = 2                       # PET and CT, stacked
 
 
+def as_int(name: str, value) -> int:
+    """`value` as an int; a ValueError naming `name` unless it is a Python or
+    numpy integer (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name}: expected an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class BackboneConfig:
     channels: tuple = DESK_CHANNELS
 
     def __post_init__(self):
-        self.channels = tuple(int(c) for c in self.channels)
+        self.channels = tuple(as_int("channels", c) for c in self.channels)
         if len(self.channels) < 2:
             raise ValueError("need at least 2 levels")
         if any(b <= a for a, b in zip(self.channels, self.channels[1:])):
@@ -98,11 +106,3 @@ def forward_features(params: dict, x: Tensor, config: BackboneConfig) -> Tensor:
         h = _block(params, f"dec{i}.conv0", h)
         h = _block(params, f"dec{i}.conv1", h)
     return conv3d(h, as_tensor(params["final.w"]), as_tensor(params["final.b"]))
-
-
-def concat_modalities(pet_voxels: np.ndarray, ct_voxels: np.ndarray) -> np.ndarray:
-    """Stack normalized PET and CT into a (2, X, Y, Z) input, PET first."""
-    if pet_voxels.shape != ct_voxels.shape:
-        raise ValueError(
-            f"PET dims {pet_voxels.shape} != CT dims {ct_voxels.shape}")
-    return np.stack([pet_voxels, ct_voxels], axis=0)

@@ -7,8 +7,6 @@ the bare singleton mass m({a}) as an alternative mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .evidential_head import IGNORANCE, LESION
@@ -16,18 +14,6 @@ from .tensor_core import Tensor, as_tensor
 
 DICE_EPS = 1e-6
 DICE_MODES = ("pignistic", "singleton")
-
-
-@dataclass
-class LossBreakdown:
-    loss_d: float
-    loss_u: float
-    loss_reg: float
-    total: float
-
-    def as_dict(self):
-        return {"loss_d": self.loss_d, "loss_u": self.loss_u,
-                "loss_reg": self.loss_reg, "total": self.total}
 
 
 def dice_loss(s, g) -> Tensor:
@@ -57,7 +43,8 @@ def total_loss(mass_map: Tensor, g: np.ndarray, alpha_logits,
     """Full objective for a (N, 3, X, Y, Z) mass tensor and binary truth G.
 
     `alpha_logits` is None for a head without evidence strengths; its L1
-    term is then 0. Returns (total Tensor, LossBreakdown of floats).
+    term is then 0. Returns the total Tensor and a dict of floats, in log
+    order: loss_d, loss_u, loss_reg, total.
     """
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
@@ -70,9 +57,9 @@ def total_loss(mass_map: Tensor, g: np.ndarray, alpha_logits,
     loss_reg = (as_tensor(0.0, mass_map.dtype) if alpha_logits is None
                 else lam * as_tensor(alpha_logits).sigmoid().sum())
     total = loss_d + loss_u + loss_reg
-    breakdown = LossBreakdown(float(loss_d.data), float(loss_u.data),
-                              float(loss_reg.data), float(total.data))
-    return total, breakdown
+    return total, {"loss_d": float(loss_d.data), "loss_u": float(loss_u.data),
+                   "loss_reg": float(loss_reg.data),
+                   "total": float(total.data)}
 
 
 def lesion_map(mass_map: Tensor, mode: str = "pignistic") -> Tensor:

@@ -1,4 +1,9 @@
-"""Initialization, Adam optimization, the epoch loop and checkpointing."""
+"""The input encoding, initialization, Adam optimization, the epoch loop
+and checkpointing.
+
+A case enters the network as a float32 (2, X, Y, Z) array: PET SUV * 0.1 in
+channel 0 and CT (HU + 1000) / 2000 in channel 1.
+"""
 
 from __future__ import annotations
 
@@ -13,8 +18,7 @@ from . import metrics as mx
 from . import objectives as obj
 from . import tensor_core as tc
 from .seeding import derive_seed
-from .volume_io import (CT_NORM, PET_NORM, PatientCase, normalize,
-                        read_framed, write_framed)
+from .volume_io import PatientCase, read_framed, write_framed
 
 CKPT_MAGIC = b"EVIDCKPT"
 CKPT_VERSION = 1
@@ -43,6 +47,10 @@ class TrainConfig:
     lesion_patch_fraction: float = 0.5
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "prototypes", "seed"):
+            setattr(self, name, bb.as_int(name, getattr(self, name)))
+        self.patch_dims = tuple(bb.as_int("patch_dims", d)
+                                for d in self.patch_dims)
         # chained comparisons are false for NaN, so NaN fails every check
         if not 0.0 < self.lr < math.inf:
             raise ValueError("lr must be positive and finite")
@@ -68,7 +76,6 @@ class TrainConfig:
             raise ValueError("lesion_patch_fraction must lie in [0, 1]")
         if self.dice_mode not in obj.DICE_MODES:
             raise ValueError(f"unknown dice mode {self.dice_mode!r}")
-        self.patch_dims = tuple(int(d) for d in self.patch_dims)
         if len(self.patch_dims) != 3 or min(self.patch_dims) < 1:
             raise ValueError(f"patch_dims must be three positive sizes, "
                              f"got {self.patch_dims}")
@@ -83,24 +90,21 @@ def head_shapes(head: str, feature_dim: int, prototypes: int) -> dict:
     return {"head.w": (2, c, 1, 1, 1), "head.b": (2,)}
 
 
-def init_es_params(config: TrainConfig, feature_dim: int, seed: int,
-                   dtype=np.float32) -> dict:
+def init_es_params(config: TrainConfig, feature_dim: int, seed: int) -> dict:
     """The four `es.*` arrays: uniform random prototypes and membership
     logits; alpha and gamma at their configured constants."""
     rng = np.random.default_rng(seed)
     s = head_shapes("evidential", feature_dim, config.prototypes)
     a = config.alpha_init
-    return {
-        "es.prototypes":
-            rng.uniform(-1.0, 1.0, s["es.prototypes"]).astype(dtype),
+    es = {
+        "es.prototypes": rng.uniform(-1.0, 1.0, s["es.prototypes"]),
         "es.membership_logits":
-            rng.uniform(-0.1, 0.1, s["es.membership_logits"]).astype(dtype),
-        "es.alpha_logits":
-            np.full(s["es.alpha_logits"], np.log(a / (1.0 - a)), dtype=dtype),
+            rng.uniform(-0.1, 0.1, s["es.membership_logits"]),
+        "es.alpha_logits": np.full(s["es.alpha_logits"], np.log(a / (1 - a))),
         "es.gamma_roots":
-            np.full(s["es.gamma_roots"], np.sqrt(config.gamma_init),
-                    dtype=dtype),
+            np.full(s["es.gamma_roots"], np.sqrt(config.gamma_init)),
     }
+    return {k: v.astype(np.float32) for k, v in es.items()}
 
 
 def softmax_forward(features: tc.Tensor, params) -> tc.Tensor:
@@ -124,22 +128,22 @@ class Model:
 
     @classmethod
     def create(cls, backbone_config: bb.BackboneConfig, head: str,
-               train_config: TrainConfig, seed: int, dtype=np.float32):
+               train_config: TrainConfig, seed: int):
         if head not in HEADS:
             raise ValueError(f"unknown head {head!r}")
         params = bb.init_backbone(backbone_config,
-                                  derive_seed(seed, "backbone"), dtype=dtype)
+                                  derive_seed(seed, "backbone"), np.float32)
         c = backbone_config.feature_dim
         if head == "evidential":
             params.update(init_es_params(train_config, c,
-                                         derive_seed(seed, "es"), dtype))
+                                         derive_seed(seed, "es")))
         else:
             shape = head_shapes(head, c, train_config.prototypes)
             rng = np.random.default_rng(derive_seed(seed, "softmax-head"))
             bound = np.sqrt(6.0 / c)
-            params["head.w"] = rng.uniform(-bound, bound,
-                                           size=shape["head.w"]).astype(dtype)
-            params["head.b"] = np.zeros(shape["head.b"], dtype=dtype)
+            w = rng.uniform(-bound, bound, size=shape["head.w"])
+            params["head.w"] = w.astype(np.float32)
+            params["head.b"] = np.zeros(shape["head.b"], dtype=np.float32)
         return cls(backbone_config, head, params)
 
     def forward(self, x: np.ndarray, trainable: bool = False):
@@ -190,13 +194,15 @@ def adam_step(params: dict, grads: dict, state: dict, t: int,
 
 # -- data preparation ------------------------------------------------------
 
-def prepare_case(case: PatientCase, dtype=np.float32):
-    """Normalize PET/CT, stack to a 2-channel input, binarize the mask."""
-    pet = normalize(case.pet, PET_NORM).voxels.astype(dtype)
-    ct = normalize(case.ct, CT_NORM).voxels.astype(dtype)
-    x = bb.concat_modalities(pet, ct)
-    g = case.mask.voxels.astype(dtype)
-    return x, g
+def prepare_case(case: PatientCase):
+    """(x, g): the float32 (2, X, Y, Z) network input, PET * 0.1 first and
+    CT (HU + 1000) / 2000 second, and the float32 binary mask."""
+    # each term in the voxels' own dtype, then one cast; "+ 0.0" turns a
+    # -0.0 voxel into +0.0
+    pet = (case.pet.voxels + 0.0) * 0.1
+    ct = (case.ct.voxels + 1000.0) * (1.0 / 2000.0)
+    x = np.stack([pet, ct]).astype(np.float32, copy=False)
+    return x, case.mask.voxels.astype(np.float32)
 
 
 def sample_patch(x: np.ndarray, g: np.ndarray, patch_dims, rng,
@@ -328,10 +334,13 @@ def train(model: Model, train_cases, val_cases, config: TrainConfig,
         if any(p > d for p, d in zip(config.patch_dims, dims)):
             raise ValueError(f"patch_dims {config.patch_dims} do not fit "
                              f"case {case.id!r} of shape {dims}")
-    try:
-        model.backbone_config.check_dims(config.patch_dims)
-    except ValueError as e:
-        raise ValueError(f"patch_dims: {e}") from None
+    # validation runs each whole volume through the network
+    for what, dims in [("patch_dims", config.patch_dims)] + [
+            (f"validation case {c.id!r}", c.pet.dims) for c in val_cases]:
+        try:
+            model.backbone_config.check_dims(dims)
+        except ValueError as e:
+            raise ValueError(f"{what}: {e}") from None
     if gradcheck_gate:
         from .gradcheck import run_gate
         failures = run_gate()
@@ -346,7 +355,7 @@ def train(model: Model, train_cases, val_cases, config: TrainConfig,
     t = 0
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(train_data))
-        sums = {"loss_d": 0.0, "loss_u": 0.0, "loss_reg": 0.0, "total": 0.0}
+        sums = {}
         n_batches = 0
         for start in range(0, len(order), config.batch_size):
             idx = order[start:start + config.batch_size]
@@ -366,7 +375,7 @@ def train(model: Model, train_cases, val_cases, config: TrainConfig,
             if not np.isfinite(total.data):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, step {t + 1}: "
-                    f"{breakdown.as_dict()}")
+                    f"{breakdown}")
             total.backward()
             grads = {k: (leaves[k].grad if leaves[k].grad is not None
                          else np.zeros_like(leaves[k].data))
@@ -377,8 +386,8 @@ def train(model: Model, train_cases, val_cases, config: TrainConfig,
                                     f"step {t + 1}: {', '.join(bad)}")
             t += 1
             adam_step(model.params, grads, state, t, config)
-            for k, v in breakdown.as_dict().items():
-                sums[k] += v
+            for k, v in breakdown.items():
+                sums[k] = sums.get(k, 0.0) + v
             n_batches += 1
         if model.head == "evidential":
             _assert_constraints(model.params)

@@ -1,4 +1,4 @@
-"""Volume data model, the framed file format, normalization, phantoms, splits.
+"""Volume data model, the framed file format, phantoms, splits.
 
 A volume is a 3D scalar grid stored row-major with index (x*Y + y)*Z + z.
 PET values are in SUV units, CT in Hounsfield units, masks are binary.
@@ -56,28 +56,6 @@ class PatientCase:
             raise VolumeFormatError(
                 f"case {self.id}: PET/CT/mask dims differ "
                 f"({self.pet.dims}, {self.ct.dims}, {self.mask.dims})")
-
-
-@dataclass
-class NormalizationSpec:
-    shift: float
-    scale: float
-
-    def __post_init__(self):
-        if self.scale == 0:
-            raise ValueError("scale must be nonzero")
-
-
-PET_NORM = NormalizationSpec(shift=0.0, scale=0.1)
-CT_NORM = NormalizationSpec(shift=1000.0, scale=1.0 / 2000.0)
-
-
-def normalize(v: Volume, spec: NormalizationSpec) -> Volume:
-    """Map each voxel w to (w + shift) * scale."""
-    if v.modality == "MASK":
-        raise ValueError("normalize does not apply to MASK volumes")
-    return Volume(v.dims, v.spacing, v.modality,
-                  (v.voxels + spec.shift) * spec.scale)
 
 
 # -- framed files: .evol volumes and .evckpt checkpoints -------------------

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from evidseg.backbone_unet import (BackboneConfig, FULL_CHANNELS,
-                                   concat_modalities, forward_features,
-                                   init_backbone)
+                                   forward_features, init_backbone)
 from evidseg.tensor_core import Graph, Tensor
 
 
@@ -13,6 +12,16 @@ class TestConfig:
     def test_channels_must_increase(self):
         with pytest.raises(ValueError):
             BackboneConfig(channels=(8, 8))
+
+    @pytest.mark.parametrize("channels", [(2.5, 4), (True, 4), (2, "4")])
+    def test_non_integer_channels_rejected(self, channels):
+        with pytest.raises(ValueError, match="channels"):
+            BackboneConfig(channels=channels)
+
+    def test_numpy_integer_channels_accepted(self):
+        config = BackboneConfig(channels=np.array([2, 4]))
+        assert config.channels == (2, 4)
+        assert all(type(c) is int for c in config.channels)
 
     def test_needs_two_levels(self):
         with pytest.raises(ValueError):
@@ -100,16 +109,3 @@ class TestForward:
         grad = g.backward_gradients()["enc0.conv0.w"]
         assert np.abs(grad).max() > 0.0
 
-
-class TestConcatModalities:
-    def test_shape_and_channel_order(self):
-        pet = np.random.default_rng(0).uniform(size=(8, 8, 8))
-        ct = np.random.default_rng(1).uniform(size=(8, 8, 8))
-        x = concat_modalities(pet, ct)
-        assert x.shape == (2, 8, 8, 8)
-        np.testing.assert_array_equal(x[0], pet)
-        np.testing.assert_array_equal(x[1], ct)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            concat_modalities(np.zeros((8, 8, 8)), np.zeros((8, 8, 4)))

@@ -53,6 +53,15 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=key):
             RunConfig({section: {key: 1}})
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("train", "epochs", 1.5), ("train", "batch_size", 1.5),
+        ("train", "seed", True), ("train", "patch_dims", [16.7, 16, 16]),
+        ("es", "prototypes", 2.5), ("backbone", "channels", [2.5, 4])])
+    def test_non_integer_count_named_in_error(self, section, key, value):
+        config = RunConfig({section: {key: value}})
+        with pytest.raises(ConfigError, match=key):
+            resolved(config)
+
     @pytest.mark.parametrize("section", ["optimizer", "data", "eval"])
     def test_unknown_section_rejected(self, section):
         with pytest.raises(ConfigError, match=section):

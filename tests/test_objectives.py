@@ -104,20 +104,21 @@ class TestTotalLoss:
     def test_decomposition_identity(self):
         masses, g, es = self.random_mass_map(0)
         total, br = total_loss(masses, g, es["es.alpha_logits"], lam=1e-3)
-        assert br.total == pytest.approx(
-            br.loss_d + br.loss_u + br.loss_reg, abs=1e-12)
-        assert float(total.data) == pytest.approx(br.total, abs=1e-12)
+        assert list(br) == ["loss_d", "loss_u", "loss_reg", "total"]
+        assert br["total"] == pytest.approx(
+            br["loss_d"] + br["loss_u"] + br["loss_reg"], abs=1e-12)
+        assert float(total.data) == pytest.approx(br["total"], abs=1e-12)
 
     def test_regularizer_hand_value(self):
         # 20 prototypes at alpha 0.5 with coefficient 1e-5: 20*0.5*1e-5
         masses, g, _ = self.random_mass_map(1)
         total, br = total_loss(masses, g, np.zeros(20), lam=1e-5)
-        assert br.loss_reg == pytest.approx(1e-4, abs=1e-12)
+        assert br["loss_reg"] == pytest.approx(1e-4, abs=1e-12)
 
     def test_zero_lambda_drops_regularizer(self):
         masses, g, es = self.random_mass_map(2)
         _, br = total_loss(masses, g, es["es.alpha_logits"], lam=0.0)
-        assert br.loss_reg == 0.0
+        assert br["loss_reg"] == 0.0
 
     def test_negative_lambda_rejected(self):
         masses, g, es = self.random_mass_map(3)
@@ -127,9 +128,9 @@ class TestTotalLoss:
     def test_breakdown_bounds(self):
         masses, g, es = self.random_mass_map(4)
         _, br = total_loss(masses, g, es["es.alpha_logits"], lam=1e-5)
-        assert 0.0 <= br.loss_d <= 1.0
-        assert 0.0 <= br.loss_u <= 1.0
-        assert br.loss_reg >= 0.0
+        assert 0.0 <= br["loss_d"] <= 1.0
+        assert 0.0 <= br["loss_u"] <= 1.0
+        assert br["loss_reg"] >= 0.0
 
     def test_unknown_dice_mode_rejected(self):
         masses, g, es = self.random_mass_map(5)

@@ -1,4 +1,5 @@
-"""Initialization constants, Adam behavior, checkpoints, the epoch loop."""
+"""Input encoding, initialization constants, Adam behavior, checkpoints, the
+epoch loop."""
 
 import math
 
@@ -13,7 +14,7 @@ from evidseg.trainer import (Model, TrainConfig, TrainingError, adam_init,
                              adam_step, init_es_params, load_checkpoint,
                              prepare_case, sample_patch, save_checkpoint,
                              train)
-from evidseg.volume_io import generate_phantom
+from evidseg.volume_io import PatientCase, Volume, generate_phantom
 from helpers import rewrite_header
 
 
@@ -58,10 +59,20 @@ class TestConfig:
         ("lesion_patch_fraction", math.nan),
         ("lesion_patch_fraction", math.inf),
         ("lesion_patch_fraction", 1.5), ("patch_dims", (0, 0, 0)),
-        ("patch_dims", (16, -1, 16)), ("patch_dims", (16, 16))])
+        ("patch_dims", (16, -1, 16)), ("patch_dims", (16, 16)),
+        ("epochs", 1.5), ("epochs", True), ("batch_size", 1.5),
+        ("prototypes", 2.5), ("seed", True), ("seed", 1.5),
+        ("patch_dims", (16.7, 16, 16)), ("patch_dims", (16, True, 16))])
     def test_untrainable_value_named_in_error(self, name, value):
         with pytest.raises(ValueError, match=name):
             TrainConfig(**{name: value})
+
+    def test_numpy_integers_accepted_as_ints(self):
+        c = TrainConfig(epochs=np.int64(3), seed=np.uint8(1),
+                        patch_dims=np.array([16, 16, 16]))
+        assert (c.epochs, c.seed, c.patch_dims) == (3, 1, (16, 16, 16))
+        assert type(c.epochs) is int and type(c.seed) is int
+        assert all(type(d) is int for d in c.patch_dims)
 
     def test_largest_gamma_init_squares_finite(self):
         config = TrainConfig(gamma_init=float(np.finfo(np.float32).max))
@@ -145,13 +156,63 @@ class TestAdam:
                       config)
 
 
+def encoded(pet, ct):
+    """prepare_case's input for a case with these PET and CT voxels."""
+    dims = np.shape(pet)
+    vol = lambda modality, w: Volume(dims, (1, 1, 1), modality, w)
+    return prepare_case(PatientCase("c", vol("PET", pet), vol("CT", ct),
+                                    vol("MASK", np.zeros(dims))))[0]
+
+
+class TestInputEncoding:
+    def test_ct_lower_bound_maps_to_zero(self):
+        x = encoded(np.zeros((2, 2, 2)), np.full((2, 2, 2), -1000.0))
+        assert np.all(x[1] == 0.0)
+
+    def test_ct_upper_bound_maps_to_one(self):
+        x = encoded(np.zeros((2, 2, 2)), np.full((2, 2, 2), 1000.0))
+        np.testing.assert_allclose(x[1], 1.0)
+
+    def test_pet_suv_five_maps_to_half(self):
+        x = encoded(np.full((2, 2, 2), 5.0), np.zeros((2, 2, 2)))
+        np.testing.assert_allclose(x[0], 0.5)
+
+    def test_affine_offset_identity(self):
+        # enc(v) + enc(u) - enc(v + u) is the CT shift times its scale, 0.5,
+        # up to the float32 rounding of the three encodings
+        rng = np.random.default_rng(1)
+        v, u = rng.uniform(-500, 500, size=(2, 4, 4, 4))
+        zeros = np.zeros_like(v)
+        residual = (encoded(zeros, v)[1] + encoded(zeros, u)[1]
+                    - encoded(zeros, v + u)[1])
+        np.testing.assert_allclose(residual, 0.5,
+                                   atol=4 * np.finfo(np.float32).eps)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_encoding_is_exact(self, dtype):
+        # each term in the voxels' dtype, then one cast to float32
+        rng = np.random.default_rng(2)
+        pet = rng.uniform(0.0, 20.0, (4, 4, 4)).astype(dtype)
+        ct = rng.uniform(-1000.0, 2000.0, (4, 4, 4)).astype(dtype)
+        x = encoded(pet, ct)
+        assert x.dtype == np.float32
+        np.testing.assert_array_equal(
+            x[0], ((pet + 0.0) * 0.1).astype(np.float32))
+        np.testing.assert_array_equal(
+            x[1], ((ct + 1000.0) * (1.0 / 2000.0)).astype(np.float32))
+
+
 class TestData:
     def test_prepare_case_shapes_and_channels(self):
+        # PET in channel 0, CT in channel 1, the mask as float32 truth
         case = tiny_cases(1)[0]
         x, g = prepare_case(case)
         assert x.shape == (2, 16, 16, 16)
-        assert g.shape == (16, 16, 16)
-        np.testing.assert_allclose(x[0], case.pet.voxels * 0.1, atol=1e-6)
+        assert g.shape == (16, 16, 16) and g.dtype == np.float32
+        np.testing.assert_array_equal(x[0], case.pet.voxels * 0.1)
+        np.testing.assert_array_equal(
+            x[1], (case.ct.voxels + 1000.0) * (1.0 / 2000.0))
+        np.testing.assert_array_equal(g, case.mask.voxels)
 
     def test_sample_patch_full_volume_passthrough(self):
         case = tiny_cases(1)[0]
@@ -309,8 +370,8 @@ class TestTrainLoop:
         assert len(log) == config.epochs
         assert 1 <= best_epoch <= config.epochs
         for record in log:
-            assert set(record) >= {"epoch", "loss_d", "loss_u", "loss_reg",
-                                   "total", "val_dice"}
+            assert list(record) == ["epoch", "loss_d", "loss_u", "loss_reg",
+                                    "total", "val_dice", "val_mean_ignorance"]
         u = memberships(model.params["es.membership_logits"])
         np.testing.assert_allclose(u.sum(axis=1), 1.0, atol=1e-5)
         alphas = strengths(model.params["es.alpha_logits"])
@@ -345,6 +406,21 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="patch_dims.*divisible by 4"):
             train(model, cases[:1], cases[1:], config)
 
+    def test_validation_case_the_backbone_cannot_pool_rejected(
+            self, monkeypatch):
+        # validation runs the whole 18^3 volume through a backbone whose
+        # sizes must divide by 4; the check names the case and comes before
+        # the gradient-check gate or any training step
+        def gate():
+            raise AssertionError("gradient-check gate ran")
+
+        monkeypatch.setattr(gradcheck, "run_gate", gate)
+        config = tiny_config(patch_dims=(16, 16, 16))
+        model = Model.create(BackboneConfig(), "evidential", config, 0)
+        odd = generate_phantom(9, (18, 18, 18), (1, 2))
+        with pytest.raises(ValueError, match=odd.id + ".*divisible by 4"):
+            train(model, tiny_cases(1), [odd], config)
+
     def test_fixed_seed_reproduces_epoch_log(self):
         cases = tiny_cases(4)
         logs = []
@@ -376,13 +452,13 @@ class TestTrainLoop:
         g = (rng.random((2, 16, 16, 16)) < 0.2).astype(np.float64)
         out, leaves = model.forward(x, trainable=True)
         total, br = total_loss(out, g, None, lam=1e-3, dice_mode=dice_mode)
-        assert br.loss_u == br.loss_reg == 0.0
-        assert br.total == br.loss_d == float(total.data)
+        assert br["loss_u"] == br["loss_reg"] == 0.0
+        assert br["total"] == br["loss_d"] == float(total.data)
         total.backward()
         ref_out, ref_leaves = model.forward(x, trainable=True)
         ref = dice_loss(lesion_map(ref_out, "singleton").reshape(2, -1),
                         g.reshape(2, -1))
-        assert float(ref.data) == br.loss_d
+        assert float(ref.data) == br["loss_d"]
         ref.backward()
         for name in ("head.w", "head.b", "enc0.conv0.w"):
             np.testing.assert_array_equal(leaves[name].grad,

@@ -1,4 +1,4 @@
-"""Volume format, normalization, phantom generation, dataset splitting."""
+"""Volume format, phantom generation, dataset splitting."""
 
 import json
 import os
@@ -8,12 +8,11 @@ import numpy as np
 import pytest
 
 from evidseg import volume_io
-from evidseg.volume_io import (CT_NORM, PET_NORM, NormalizationSpec,
-                               PatientCase, PhantomParams, Volume,
-                               VolumeFormatError, generate_phantom, normalize,
-                               read_case, read_dataset, read_volume,
-                               split_dataset, write_case, write_dataset,
-                               write_framed, write_volume)
+from evidseg.volume_io import (PatientCase, PhantomParams, Volume,
+                               VolumeFormatError, generate_phantom, read_case,
+                               read_dataset, read_volume, split_dataset,
+                               write_case, write_dataset, write_framed,
+                               write_volume)
 
 
 def make_volume(rng, dims=(8, 8, 8), modality="PET"):
@@ -52,43 +51,6 @@ class TestVolume:
         with pytest.raises(VolumeFormatError):
             PatientCase("c", make_volume(rng), make_volume(rng, modality="CT"),
                         make_volume(rng, dims=(4, 4, 4), modality="MASK"))
-
-
-class TestNormalize:
-    def test_ct_lower_bound_maps_to_zero(self):
-        v = Volume((2, 2, 2), (1, 1, 1), "CT", np.full((2, 2, 2), -1000.0))
-        assert np.all(normalize(v, CT_NORM).voxels == 0.0)
-
-    def test_ct_upper_bound_maps_to_one(self):
-        v = Volume((2, 2, 2), (1, 1, 1), "CT", np.full((2, 2, 2), 1000.0))
-        np.testing.assert_allclose(normalize(v, CT_NORM).voxels, 1.0)
-
-    def test_pet_suv_five_maps_to_half(self):
-        v = Volume((2, 2, 2), (1, 1, 1), "PET", np.full((2, 2, 2), 5.0))
-        np.testing.assert_allclose(normalize(v, PET_NORM).voxels, 0.5)
-
-    def test_mask_rejected(self):
-        v = Volume((2, 2, 2), (1, 1, 1), "MASK", np.zeros((2, 2, 2)))
-        with pytest.raises(ValueError):
-            normalize(v, PET_NORM)
-
-    def test_zero_scale_rejected(self):
-        with pytest.raises(ValueError):
-            NormalizationSpec(shift=1.0, scale=0.0)
-
-    def test_affine_offset_identity(self):
-        # normalize(v) + normalize(u) - normalize(v+u) == shift*scale everywhere
-        rng = np.random.default_rng(1)
-        dims = (4, 4, 4)
-        spec = CT_NORM
-        v = rng.uniform(-500, 500, size=dims)
-        u = rng.uniform(-500, 500, size=dims)
-        vol = lambda w: Volume(dims, (1, 1, 1), "CT", w)
-        residual = (normalize(vol(v), spec).voxels
-                    + normalize(vol(u), spec).voxels
-                    - normalize(vol(v + u), spec).voxels)
-        np.testing.assert_allclose(residual, spec.shift * spec.scale,
-                                   rtol=1e-12)
 
 
 class TestEvolFormat:
