@@ -6,11 +6,13 @@ composite of these), sums and the mean of all elements, reshape, transpose,
 basic indexing (ints, slices, Ellipsis), channel concatenation, 3D
 convolution (stride 1, same padding), 2x max-pooling and 2x
 nearest-neighbour upsampling; the evidential head adds three fused ops of
-its own. conv3d is a blocked im2col GEMM for the forward and both
-gradients: the patch matrix of the zero-padded input is built one
-cache-sized slab of output x-planes at a time, and each slab is multiplied
-into its slice of the output (or summed into the weight gradient) before
-the next. `as_tensor` turns any other operand into a constant Tensor.
+its own. conv3d is a tap-folded GEMM for the forward and both gradients:
+for one cache-sized slab of output x-planes at a time, only the k z-shifts
+of each zero-padded channel are copied, the k^2 (x, y) taps are strided
+views of that copy, and one batched BLAS product per slab multiplies each
+tap by its slice of the kernel; the tap products are summed into the
+output (or the weight gradient) before the next slab. `as_tensor` turns
+any other operand into a constant Tensor.
 
 Layout is row-major, matching the volume file format. `Graph` is the
 float64 function the checker in `gradcheck` differentiates; it and
@@ -36,10 +38,11 @@ class NonFiniteError(ArithmeticError):
         self.op = op
 
 
-# the largest patch-matrix slab conv3d builds, so that a slab is still in L2
-# when the GEMM reads it back; a sweep over 128 KiB-4 MiB on a 2 MiB L2 ran
-# as fast at 128 KiB-1 MiB and up to 1.5x slower from 2 MiB
-_SLAB_BYTES = 1 << 19
+# about the bytes of z-shift rows and tap products one conv3d slab holds, so
+# that they are still in L2 when read back; on a 2 MiB L2, a sweep over
+# 128 KiB-4 MiB ran as fast at 768 KiB-1 MiB, about 1.1x slower at
+# 128-512 KiB and 2 MiB, and 1.5-1.9x slower at 4 MiB
+_SLAB_BYTES = 3 << 18
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -160,8 +163,12 @@ class Tensor:
         mask = self.data > 0
         if _PATTERNS is not None:
             _PATTERNS.append(hash(mask.tobytes()))
-        return self._make(np.where(mask, self.data, 0.0), "relu", (self,),
-                          lambda g: (g * mask,))
+        # where(mask, data, 0.0) bit for bit (NaN gives +0.0), at a tenth of
+        # the cost; "+= 0.0" turns the -0.0 fmax keeps on some numpy loops
+        # into +0.0
+        out_data = np.fmax(self.data, 0.0)
+        out_data += 0.0
+        return self._make(out_data, "relu", (self,), lambda g: (g * mask,))
 
     def sigmoid(self):
         out_data = 1.0 / (1.0 + np.exp(-self.data))
@@ -267,47 +274,74 @@ def concat(tensors, axis):
 
 # -- spatial ops (N, C, X, Y, Z) ------------------------------------------
 
-def _slabs(x, k):
-    """Patch matrices of x (N, C, X, Y, Z) zero-padded by k // 2, one slab
-    at a time: yields (n, x0, x1, cols), where cols is the (C*k^3,
-    (x1-x0)*Y*Z) patch matrix of batch item n at output x-planes x0:x1.
+def _slabs(x, k, o):
+    """The z-shifted rows of x (N, C, X, Y, Z), zero-padded by p = k // 2,
+    one slab of output x-planes at a time, with every (dx, dy) tap as a
+    strided view of them; o is the output channel count, for the budget.
 
-    Each slab holds at most _SLAB_BYTES (one x-plane at least), so it is
-    still in cache when the GEMM reads it; one buffer serves every slab,
-    copied from a read-only (C, k, k, k, N, X, Y, Z) window view of the
-    channel-major padded input.
+    Yields (i, x0, x1, taps): taps is a read-only (k, k, k*C, L) view whose
+    [dx, dy] matrix holds, at row (dz, c) and column j, the padded input of
+    batch item i that output column j meets through tap (dx, dy, dz).
+    Output columns run over the padded (Y+2p, Z+2p) grid of x-planes x0:x1,
+    up to the last valid voxel; `_interior` picks out the valid ones.
+
+    One buffer of k*C rows serves every slab. Each row is one contiguous
+    run of a padded channel, so a slab copies k shifts of the input where
+    an im2col patch matrix copies k^3. A slab holds about _SLAB_BYTES of
+    that buffer and of the (k, k, O, L) tap products, one x-plane at least.
     """
     n, c, sx, sy, sz = x.shape
     p = k // 2
-    xp = np.zeros((c, n, sx + 2 * p, sy + 2 * p, sz + 2 * p), dtype=x.dtype)
-    xp[:, :, p:p + sx, p:p + sy, p:p + sz] = x.transpose(1, 0, 2, 3, 4)
-    sc, sn, s1, s2, s3 = xp.strides
-    win = as_strided(xp, (c, k, k, k, n, sx, sy, sz),
-                     (sc, s1, s2, s3, sn, s1, s2, s3), writeable=False)
-    rows, plane = c * k ** 3, sy * sz
-    planes = min(sx, max(1, _SLAB_BYTES // (rows * plane * xp.itemsize)))
-    buf = np.empty(rows * planes * plane, dtype=x.dtype)
+    pz = sz + 2 * p
+    plane = (sy + 2 * p) * pz
+    xp = np.zeros((n, c, sx + 2 * p, sy + 2 * p, pz), dtype=x.dtype)
+    xp[:, :, p:p + sx, p:p + sy, p:p + sz] = x
+    xp = xp.reshape(n, c, -1)
+    sn, sc, s = xp.strides
+    src = as_strided(xp, (n, k, c, xp.shape[2] - k + 1), (sn, s, sc, s),
+                     writeable=False)
+    # tap (dx, dy) reads dx*plane + dy*pz columns past its output column
+    reach = (k - 1) * (plane + pz)
+    planes = min(sx, max(1, _SLAB_BYTES
+                         // ((k * c + k * k * o) * plane * xp.itemsize)))
+    width = planes * plane - (k - 1) * (pz + 1) + reach
+    buf = np.empty((k * c, width), dtype=x.dtype)
+    taps = as_strided(buf, (k, k, k * c, width - reach),
+                      (plane * s, pz * s) + buf.strides, writeable=False)
     for i in range(n):
         for x0 in range(0, sx, planes):
             x1 = min(x0 + planes, sx)
-            cols = buf[:rows * (x1 - x0) * plane]
-            np.copyto(cols.reshape(c, k, k, k, x1 - x0, sy, sz),
-                      win[:, :, :, :, i, x0:x1])
-            yield i, x0, x1, cols.reshape(rows, -1)
+            cols = (x1 - x0) * plane - (k - 1) * (pz + 1)
+            np.copyto(buf[:, :cols + reach].reshape(k, c, -1),
+                      src[i, :, :, x0 * plane:x0 * plane + cols + reach])
+            yield i, x0, x1, taps[..., :cols]
+
+
+def _interior(a, planes, sy, sz, k):
+    """The (rows, planes, sy, sz) valid voxels of a, whose columns run over
+    `planes` x-planes of the (sy + k - 1, sz + k - 1) padded grid."""
+    py, pz = sy + k - 1, sz + k - 1
+    return a[:, :planes * py * pz].reshape(-1, planes, py, pz)[:, :, :sy, :sz]
 
 
 def _correlate(x, w, b=None):
     """Same-padded correlation of x (N, C, X, Y, Z) with w (O, C, k, k, k),
     plus the bias b (O,) if given, as a C-contiguous (N, O, X, Y, Z) array.
     """
-    n, o, plane = x.shape[0], w.shape[0], x.shape[3] * x.shape[4]
-    out = np.empty((n, o) + x.shape[2:], dtype=np.result_type(x, w))
-    w_mat = w.reshape(o, -1)
-    for i, x0, x1, cols in _slabs(x, w.shape[2]):
-        y = out[i].reshape(o, -1)[:, x0 * plane:x1 * plane]
-        np.matmul(w_mat, cols, out=y)
-        if b is not None:
-            y += b[:, None]
+    n, c, sx, sy, sz = x.shape
+    o, k = w.shape[0], w.shape[2]
+    plane = (sy + k - 1) * (sz + k - 1)
+    # tap (dx, dy) as an (O, k*C) matrix over the (dz, c) rows of _slabs
+    w_taps = w.transpose(2, 3, 0, 4, 1).reshape(k, k, o, k * c)
+    out = np.empty((n, o, sx, sy, sz), dtype=np.result_type(x, w))
+    for i, x0, x1, taps in _slabs(x, k, o):
+        acc = np.empty((o, (x1 - x0) * plane), dtype=out.dtype)
+        np.matmul(w_taps, taps).sum(axis=(0, 1), out=acc[:, :taps.shape[3]])
+        y = _interior(acc, x1 - x0, sy, sz, k)
+        if b is None:
+            out[i, :, x0:x1] = y
+        else:
+            np.add(y, b[:, None, None, None], out=out[i, :, x0:x1])
     return out
 
 
@@ -326,12 +360,18 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor):
             w_flip = w.data.transpose(1, 0, 2, 3, 4)[:, :, ::-1, ::-1, ::-1]
             gx = _correlate(g, w_flip)
         if w.requires_grad:
-            plane = g.shape[3] * g.shape[4]
-            g_flat = g.reshape(g.shape[0], o, -1)
-            gw_mat = np.zeros((cin * k ** 3, o), dtype=g.dtype)
-            for i, x0, x1, cols in _slabs(x.data, k):
-                gw_mat += cols @ g_flat[i, :, x0 * plane:x1 * plane].T
-            gw = np.ascontiguousarray(gw_mat.T.reshape(w.shape))
+            # g's slab on the padded grid, zero off the valid voxels, times
+            # each tap's rows: gw_taps[dx, dy] is (O, k*C) over (dz, c)
+            sy, sz = g.shape[3:]
+            plane = (sy + k - 1) * (sz + k - 1)
+            gw_taps = np.zeros((k, k, o, k * cin), dtype=g.dtype)
+            for i, x0, x1, taps in _slabs(x.data, k, o):
+                g_pad = np.zeros((o, (x1 - x0) * plane), dtype=g.dtype)
+                _interior(g_pad, x1 - x0, sy, sz, k)[...] = g[i, :, x0:x1]
+                gw_taps += np.matmul(g_pad[:, :taps.shape[3]],
+                                     taps.swapaxes(2, 3))
+            gw = np.ascontiguousarray(
+                gw_taps.reshape(k, k, o, k, cin).transpose(2, 4, 0, 1, 3))
         if b.requires_grad:
             gb = g.sum(axis=(0, 2, 3, 4))
         return (gx, gw, gb)
@@ -364,12 +404,14 @@ def maxpool3d(x: Tensor):
 
 def upsample_nearest3d(x: Tensor):
     """Nearest-neighbour 2x upsampling along all three spatial axes."""
-    n, c, sx, sy, sz = x.shape
     out_data = x.data.repeat(2, axis=2).repeat(2, axis=3).repeat(2, axis=4)
 
     def backward(g):
-        gv = g.reshape(n, c, sx, 2, sy, 2, sz, 2)
-        return (gv.sum(axis=(3, 5, 7)),)
+        # each input voxel sums its 2x2x2 block: add neighbour pairs along
+        # z, then y, then x
+        g = g[..., 0::2] + g[..., 1::2]
+        g = g[..., 0::2, :] + g[..., 1::2, :]
+        return (g[:, :, 0::2] + g[:, :, 1::2],)
 
     return Tensor._make(out_data, "upsample3d", (x,), backward)
 

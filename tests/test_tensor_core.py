@@ -209,6 +209,33 @@ class TestStructuredOps:
         assert out.shape == (1, 1, 4, 4, 4)
         np.testing.assert_array_equal(out[0, 0, :2, :2, :2], x[0, 0, 0, 0, 0])
 
+    def test_upsample_backward_sums_each_block(self):
+        # the pairwise strided adds against one reshape-sum per 2x2x2 block
+        rng = np.random.default_rng(12)
+        x = Tensor(rng.standard_normal((2, 3, 2, 3, 4)), requires_grad=True)
+        g = rng.standard_normal((2, 3, 4, 6, 8))
+        (upsample_nearest3d(x) * Tensor(g)).sum().backward()
+        want = g.reshape(2, 3, 2, 2, 3, 2, 4, 2).sum(axis=(3, 5, 7))
+        np.testing.assert_allclose(x.grad, want, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("dtype, bits", [(np.float32, np.uint32),
+                                             (np.float64, np.uint64)])
+    def test_relu_matches_where_bit_for_bit(self, dtype, bits):
+        # signed zeros, NaNs of both signs, infinities and subnormals, read
+        # contiguously and through strides, short and long (numpy's vector
+        # and scalar loops treat -0.0 differently)
+        info = np.finfo(dtype)
+        special = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf,
+                            info.smallest_subnormal, -info.smallest_subnormal,
+                            1.5, -1.5, info.max, -info.max], dtype=dtype)
+        long = np.tile(special, 11)
+        for x in (special, long, special[::2], long[1::3],
+                  long.reshape(11, -1)[:, ::-1]):
+            got = Tensor(x).relu().data
+            want = np.where(x > 0, x, 0.0)
+            assert got.dtype == want.dtype == dtype
+            np.testing.assert_array_equal(got.view(bits), want.view(bits))
+
     @pytest.mark.parametrize("index", [
         (slice(None), 2), 1, (Ellipsis, 0), (0, slice(1, None), Ellipsis),
         (slice(None), slice(None, None, -1), 1)])
@@ -231,36 +258,34 @@ class TestStructuredOps:
 
 
 class TestConv3dSlabs:
-    """conv3d builds its patch matrix one slab of output x-planes at a time;
-    these force several slabs per batch item, including a short last one."""
+    """conv3d copies the k z-shifts of each channel one slab of output
+    x-planes at a time; these force several slabs per batch item, including
+    a short last one."""
 
     SHAPE = (2, 2, 7, 3, 4)  # batch 2, 2 channels, X = 7
+    OUT = 3
 
     @staticmethod
     def force_planes(monkeypatch, planes, k):
-        # the slab budget of `planes` x-planes of the float64 input's patch
-        # matrix (2 * k^3 rows of 3 * 4 columns each)
+        # the slab budget of `planes` x-planes of the float64 z-shift rows
+        # (k * 2 of them) and tap products (k^2 * 3 rows), each x-plane
+        # spanning the padded (3 + k - 1) * (4 + k - 1) grid
         n, c, sx, sy, sz = TestConv3dSlabs.SHAPE
-        monkeypatch.setattr(tc, "_SLAB_BYTES",
-                            planes * c * k ** 3 * sy * sz * 8)
+        monkeypatch.setattr(tc, "_SLAB_BYTES", planes * (
+            k * c + k * k * TestConv3dSlabs.OUT)
+            * (sy + k - 1) * (sz + k - 1) * 8)
 
     @staticmethod
     def arrays(seed, k):
         rng = np.random.default_rng(seed)
-        shape = TestConv3dSlabs.SHAPE
+        shape, o = TestConv3dSlabs.SHAPE, TestConv3dSlabs.OUT
         return (rng.standard_normal(shape),
-                0.3 * rng.standard_normal((3, shape[1], k, k, k)),
-                rng.standard_normal(3),
-                rng.standard_normal((shape[0], 3) + shape[2:]))
+                0.3 * rng.standard_normal((o, shape[1], k, k, k)),
+                rng.standard_normal(o),
+                rng.standard_normal((shape[0], o) + shape[2:]))
 
-    @pytest.mark.parametrize("k", [1, 3])
-    @pytest.mark.parametrize("planes, widths", [
-        (1, [1] * 7), (2, [2, 2, 2, 1])])
-    def test_matches_direct_summation(self, monkeypatch, k, planes, widths):
-        self.force_planes(monkeypatch, planes, k)
-        x, w, b, g = self.arrays(8, k)
-        slabs = [(i, x1 - x0) for i, x0, x1, _ in tc._slabs(x, k)]
-        assert slabs == [(i, s) for i in range(2) for s in widths]
+    @staticmethod
+    def check_against_direct(x, w, b, g):
         t = {"x": Tensor(x, requires_grad=True),
              "w": Tensor(w, requires_grad=True),
              "b": Tensor(b, requires_grad=True)}
@@ -271,6 +296,37 @@ class TestConv3dSlabs:
                               t["b"].grad), expected):
             np.testing.assert_allclose(got, want, rtol=1e-10,
                                        atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("planes, widths", [
+        (1, [1] * 7), (2, [2, 2, 2, 1])])
+    def test_matches_direct_summation(self, monkeypatch, k, planes, widths):
+        self.force_planes(monkeypatch, planes, k)
+        x, w, b, g = self.arrays(8, k)
+        c, sy, sz = x.shape[1], x.shape[3], x.shape[4]
+        # k * C rows; columns on the padded grid, up to the slab's last
+        # valid voxel, the halo of the taps' reach excluded
+        py, pz = sy + k - 1, sz + k - 1
+        slabs = [(i, x1 - x0, taps.shape)
+                 for i, x0, x1, taps in tc._slabs(x, k, self.OUT)]
+        assert slabs == [
+            (i, s, (k, k, k * c, s * py * pz - (k - 1) * (pz + 1)))
+            for i in range(2) for s in widths]
+        self.check_against_direct(x, w, b, g)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("shape, out_channels", [
+        ((1, 16, 2, 2, 2), 8), ((1, 72, 4, 4, 4), 4), ((1, 6, 4, 3, 5), 3)])
+    def test_small_grids_match_direct_summation(self, k, shape,
+                                                out_channels):
+        # 2^3 and 4^3 grids with more channels than voxels, where the
+        # padded grid is 2-4x the valid one, and a non-cubic grid
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal(shape)
+        w = 0.3 * rng.standard_normal((out_channels, shape[1], k, k, k))
+        b = rng.standard_normal(out_channels)
+        g = rng.standard_normal((shape[0], out_channels) + shape[2:])
+        self.check_against_direct(x, w, b, g)
 
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("planes", [1, 2])
@@ -286,13 +342,16 @@ class TestConv3dSlabs:
 
     def test_desk_dec0_peak_memory_is_a_slab_not_the_patch_matrix(self):
         # dec0.conv0 at desk shapes, float32: (2, 8, 32^3) -> 4 channels.
-        # The whole patch matrix would be 8*27 x 2*32^3 floats, 56.6 MB.
-        # A forward and backward holds at most, at the same time:
+        # The whole im2col patch matrix would be 8*27 x 2*32^3 floats,
+        # 56.6 MB. A forward and backward holds at most, at the same time:
         # - the output and its gradient (2 * out);
         # - the input gradient and its copy into x.grad (2 * x);
         # - one zero-padded copy of x or of g, at most (34/32)^3 * x;
-        # - one slab: _SLAB_BYTES, or one x-plane of the patch matrix
-        #   (8*27 rows x 32^2 columns) where that is larger;
+        # - one slab of about _SLAB_BYTES: the z-shift rows (3 * 8 of them
+        #   over the padded 34^2 grid, with two x-planes of reach) and the
+        #   tap products, or g on the padded grid; the bound allows the
+        #   larger of _SLAB_BYTES and one x-plane of the 8*27 x 32^2 patch
+        #   matrix;
         # - 64 KiB for w, its gradient and small temporaries.
         rng = np.random.default_rng(10)
         x = Tensor(rng.standard_normal((2, 8, 32, 32, 32), dtype=np.float32),
