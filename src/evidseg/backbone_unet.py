@@ -29,6 +29,16 @@ def as_int(name: str, value) -> int:
     return int(value)
 
 
+def as_real(name: str, value):
+    """`value` as a JSON-serializable real; a ValueError naming `name` unless
+    it is a Python or numpy integer or float (a bool is not). Python ints
+    and floats come back as given, numpy ones as Python floats."""
+    if isinstance(value, bool) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name}: expected a real number, got {value!r}")
+    return value if type(value) in (int, float) else float(value)
+
+
 @dataclass
 class BackboneConfig:
     channels: tuple = DESK_CHANNELS

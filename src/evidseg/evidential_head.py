@@ -12,19 +12,18 @@ logits (`memberships`), evidence strengths alpha via logistic squashing
 only in the model's parameter dict, under the four `es.*` names; `bba` and
 the trainer's constraint check both map them through these functions.
 
-`es_forward` runs three stages over the M voxels of a batch, each one tape
-node with a hand-derived backward:
+`es_forward` runs three stages in the backbone's channel-first layout,
+with the V = X*Y*Z voxels of each of the N batch items flattened last,
+each stage one tape node with a hand-derived backward:
 
-- `distance_activation(features (M, C), prototypes, gamma_roots)` -> s (M, I)
-- `bba(s, membership_logits, alpha_logits)` -> masses (M, I, 3), ordered
-  (lesion, background, ignorance) on the last axis
-- `dempster_fuse(masses)` -> fused masses (M, 3), same order
+- `distance_activation(features (N, C, V), prototypes, gamma_roots)`
+  -> s (N, I, V)
+- `bba(s, membership_logits, alpha_logits)` -> masses (N, 3, I, V),
+  ordered (lesion, background, ignorance) on axis 1
+- `dempster_fuse(masses)` -> fused masses (N, 3, V), same order
 
-Inside, every per-prototype quantity is a contiguous prototype-major (I, M)
-plane: s is an (I, M) array and the BBA masses a (3, I, M) buffer, each
-returned as its transposed view. So each log-space product over
-prototypes adds I contiguous M-vectors, and no step reduces along a
-strided axis.
+Every array is contiguous, so each log-space product over prototypes adds
+I contiguous V-vectors, and the mass map is a reshape of the fused masses.
 `fuse_mass_arrays` runs the same Dempster forward on plain arrays.
 """
 
@@ -35,7 +34,7 @@ import numpy as np
 from .tensor_core import Tensor, as_tensor
 
 K = 2  # classes: lesion (a), background (b)
-LESION, BACKGROUND, IGNORANCE = 0, 1, 2  # last-axis order of mass arrays
+LESION, BACKGROUND, IGNORANCE = 0, 1, 2  # order of the masses in mass arrays
 CODE_BACKGROUND, CODE_LESION, CODE_IGNORANCE = 0.0, 1.0, 2.0
 
 
@@ -58,19 +57,17 @@ def strengths(alpha_logits):
 
 
 def distance_activation(features: Tensor, prototypes, gamma_roots) -> Tensor:
-    """s_i = exp(-gamma_i * d_i^2) for features (M, C) against (I, C) prototypes.
-
-    Returns (M, I) activations, the transposed view of an (I, M) plane.
-    """
+    """s_i = exp(-gamma_i * d_i^2) for features (N, C, V) against (I, C)
+    prototypes; returns (N, I, V) activations."""
     f, p, eta = map(as_tensor, (features, prototypes, gamma_roots))
     if f.shape[1] != p.shape[1]:
         raise ValueError(
             f"feature dim {f.shape[1]} != prototype dim {p.shape[1]}")
     fd, pd = f.data, p.data
     gamma = (eta.data * eta.data)[:, None]  # (I, 1)
-    d2 = pd @ fd.T  # (I, M), then |f|^2 - 2 f.p_i + |p_i|^2 in place
+    d2 = pd @ fd  # (N, I, V), then |f|^2 - 2 f.p_i + |p_i|^2 in place
     d2 *= -2.0
-    d2 += np.einsum("mc,mc->m", fd, fd)
+    d2 += np.einsum("ncv,ncv->nv", fd, fd)[:, None]
     d2 += np.einsum("ic,ic->i", pd, pd)[:, None]
     np.maximum(d2, 0.0, out=d2)  # the expansion can round below 0; keep s <= 1
     s = d2 * -gamma
@@ -78,59 +75,58 @@ def distance_activation(features: Tensor, prototypes, gamma_roots) -> Tensor:
 
     def backward(g):
         # q = dL/d(-gamma d2); d(d2)/df = 2(f - p_i), d(d2)/dp_i = 2(p_i - f)
-        q = g.T * s
+        q = g * s
         gf = gp = geta = None
         if eta.requires_grad:
-            geta = -2.0 * np.einsum("im,im->i", q, d2) * eta.data
+            geta = -2.0 * np.einsum("niv,niv->i", q, d2) * eta.data
         q *= -gamma  # now dL/d(d2)
         if f.requires_grad:
-            gf = 2.0 * (fd * q.sum(axis=0)[:, None] - q.T @ pd)
+            gf = 2.0 * (fd * q.sum(axis=1, keepdims=True) - pd.T @ q)
         if p.requires_grad:
-            gp = 2.0 * (pd * q.sum(axis=1)[:, None] - q @ fd)
+            q_f = (q @ fd.swapaxes(1, 2)).sum(axis=0)  # sum_n q_n f_n^T
+            gp = 2.0 * (pd * q.sum(axis=(0, 2))[:, None] - q_f)
         return gf, gp, geta
 
-    return Tensor._make(s.T, "distance_activation", (f, p, eta), backward)
+    return Tensor._make(s, "distance_activation", (f, p, eta), backward)
 
 
 def bba(s: Tensor, membership_logits, alpha_logits) -> Tensor:
-    """Per-prototype mass functions from activations s (M, I).
+    """Per-prototype mass functions from activations s (N, I, V).
 
-    Returns (M, I, 3) masses ordered (lesion, background, ignorance), the
-    transposed view of a (3, I, M) buffer of prototype-major planes; the
-    three masses of each prototype sum to 1 by construction.
+    Returns (N, 3, I, V) masses ordered (lesion, background, ignorance);
+    the three masses of each prototype sum to 1 by construction.
     """
     s, v, a = map(as_tensor, (s, membership_logits, alpha_logits))
     u = memberships(v.data)                 # (I, K)
     alpha = strengths(a.data)               # (I,), below 1
-    sp = s.data.T                           # (I, M)
-    planes = np.empty((K + 1,) + sp.shape,
-                      dtype=np.result_type(sp, alpha, u))
-    alpha_s = np.multiply(sp, alpha[:, None], out=planes[K])
-    np.multiply(alpha_s, u.T[:, :, None], out=planes[:K])
-    np.subtract(1.0, alpha_s, out=planes[K])
+    sd = s.data                             # (N, I, V)
+    planes = np.empty((len(sd), K + 1) + sd.shape[1:],
+                      dtype=np.result_type(sd, alpha, u))
+    alpha_s = np.multiply(sd, alpha[:, None], out=planes[:, K])
+    np.multiply(alpha_s[:, None], u.T[:, :, None], out=planes[:, :K])
+    np.subtract(1.0, alpha_s, out=planes[:, K])
 
     def backward(g):
-        gp = g.transpose(2, 1, 0)  # (3, I, M)
         gs = gv = ga = None
         if v.requires_grad:
-            g_u = np.einsum("kim,im->ik", gp[:K], sp) * alpha[:, None]
+            g_u = np.einsum("nkiv,niv->ik", g[:, :K], sd) * alpha[:, None]
             gv = u * (g_u - (g_u * u).sum(axis=1, keepdims=True))
         # dL/d(alpha_i s_i): the singletons carry u_ik, ignorance -1
-        g_as = -gp[K]
+        g_as = -g[:, K]
         for k in range(K):
-            g_as += gp[k] * u[:, k, None]
+            g_as += g[:, k] * u[:, k, None]
         if a.requires_grad:
-            ga = np.einsum("im,im->i", g_as, sp) * alpha * (1.0 - alpha)
+            ga = np.einsum("niv,niv->i", g_as, sd) * alpha * (1.0 - alpha)
         if s.requires_grad:
             g_as *= alpha[:, None]
-            gs = g_as.T
+            gs = g_as
         return gs, gv, ga
 
-    return Tensor._make(planes.transpose(2, 1, 0), "bba", (s, v, a), backward)
+    return Tensor._make(planes, "bba", (s, v, a), backward)
 
 
 def _dempster(planes: np.ndarray):
-    """Closed-form Dempster fusion of (3, I, M) mass planes.
+    """Closed-form Dempster fusion of (N, 3, I, V) mass planes.
 
     The unnormalized singleton mass of class k is
     prod_i(m_i({k}) + m_i(Omega)) - prod_i m_i(Omega), the unnormalized
@@ -138,18 +134,19 @@ def _dempster(planes: np.ndarray):
     factor is positive because `bba` keeps m_i(Omega) >= epsneg (alpha
     held below 1, s <= 1), so the logs here and the divisions by factors
     in `dempster_fuse`'s backward stay finite.
-    Returns (fused (3, M), w (K, M) singleton products, o (M,) ignorance
-    product, norm (M,)).
+    Returns (fused (N, 3, V), w (N, K, V) singleton products,
+    o (N, 1, V) ignorance product, norm (N, 1, V)).
     """
-    omega = planes[K]
-    log_w = planes[:K] + omega
-    w = np.exp(np.log(log_w, out=log_w).sum(axis=1))  # (K, M)
-    o = np.exp(np.log(omega).sum(axis=0))            # (M,)
-    fused = np.empty((K + 1,) + o.shape, dtype=o.dtype)
-    np.subtract(w, o, out=fused[:K])
-    fused[K] = o
-    norm = fused[:K].sum(axis=0) + o
-    if np.any(norm <= 1e-300):
+    omega = planes[:, K:]                             # (N, 1, I, V)
+    log_w = planes[:, :K] + omega
+    w = np.exp(np.log(log_w, out=log_w).sum(axis=2))  # (N, K, V)
+    o = np.exp(np.log(omega).sum(axis=2))             # (N, 1, V)
+    fused = np.concatenate([w - o, o], axis=1)
+    norm = fused[:, :K].sum(axis=1, keepdims=True) + o
+    # total conflict: all mass on the empty set, to within rounding. A
+    # normalizer below the smallest normal number of its dtype has lost
+    # significant bits, and the backward's division by it can overflow
+    if np.any(norm < np.finfo(norm.dtype).tiny):
         raise ArithmeticError("total conflict in Dempster combination")
     fused /= norm
     return fused, w, o, norm
@@ -158,33 +155,32 @@ def _dempster(planes: np.ndarray):
 def dempster_fuse(masses: Tensor) -> Tensor:
     """Normalized Dempster combination of I simple BBAs per voxel.
 
-    Takes the (M, I, 3) output of `bba`; returns (M, 3) masses ordered
-    (lesion, background, ignorance), the transposed view of a (3, M)
-    buffer.
+    Takes the (N, 3, I, V) output of `bba`; returns (N, 3, V) masses
+    ordered (lesion, background, ignorance).
     """
-    planes = masses.data.transpose(2, 1, 0)  # (3, I, M)
+    planes = masses.data
     fused, w, o, norm = _dempster(planes)
 
     def backward(g):
-        gt = g.T  # (3, M)
         # through the normalization: out_j = v_j / norm
-        g_v = (gt - (gt * fused).sum(axis=0)) / norm
-        g_o = g_v[K] - g_v[:K].sum(axis=0)
+        g_v = (g - (g * fused).sum(axis=1, keepdims=True)) / norm
+        g_o = g_v[:, K:] - g_v[:, :K].sum(axis=1, keepdims=True)
         gp = np.empty(planes.shape, dtype=np.result_type(g_v, planes))
-        np.add(planes[:K], planes[K], out=gp[:K])
-        np.divide((g_v[:K] * w)[:, None, :], gp[:K], out=gp[:K])
-        np.divide(g_o * o, planes[K], out=gp[K])
-        gp[K] += gp[:K].sum(axis=0)
-        return (gp.transpose(2, 1, 0),)
+        np.add(planes[:, :K], planes[:, K:], out=gp[:, :K])
+        np.divide((g_v[:, :K] * w)[:, :, None], gp[:, :K], out=gp[:, :K])
+        np.divide(g_o * o, planes[:, K], out=gp[:, K])
+        gp[:, K] += gp[:, :K].sum(axis=1)
+        return (gp,)
 
-    return Tensor._make(fused.T, "dempster_fuse", (masses,), backward)
+    return Tensor._make(fused, "dempster_fuse", (masses,), backward)
 
 
 def fuse_mass_arrays(masses: np.ndarray) -> np.ndarray:
     """Closed-form fusion of plain arrays shaped (..., I, 3)."""
     m = np.asarray(masses, dtype=np.float64)
-    planes = m.reshape(-1, m.shape[-2], K + 1).transpose(2, 1, 0)
-    return _dempster(planes)[0].T.reshape(m.shape[:-2] + (K + 1,))
+    # each (I, 3) block as (3, I, V = 1) planes
+    planes = np.moveaxis(m.reshape(-1, *m.shape[-2:]), -1, 1)[..., None]
+    return _dempster(planes)[0].reshape(m.shape[:-2] + (K + 1,))
 
 
 def es_forward(features: Tensor, params) -> Tensor:
@@ -193,14 +189,12 @@ def es_forward(features: Tensor, params) -> Tensor:
     `params` maps the four `es.*` names (prototypes, membership_logits,
     alpha_logits, gamma_roots) to arrays or (possibly trainable) tensors.
     """
-    n, c = features.shape[0], features.shape[1]
-    spatial = features.shape[2:]
-    m = n * int(np.prod(spatial))
-    flat = features.transpose(0, 2, 3, 4, 1).reshape(m, c)
-    s = distance_activation(flat, params["es.prototypes"], params["es.gamma_roots"])
+    n, c, *spatial = features.shape
+    s = distance_activation(features.reshape(n, c, -1),
+                            params["es.prototypes"], params["es.gamma_roots"])
     masses = dempster_fuse(bba(s, params["es.membership_logits"],
-                               params["es.alpha_logits"]))  # (M, 3)
-    return masses.reshape(n, *spatial, 3).transpose(0, 4, 1, 2, 3)
+                               params["es.alpha_logits"]))  # (N, 3, V)
+    return masses.reshape(n, K + 1, *spatial)
 
 
 # -- decision layer --------------------------------------------------------

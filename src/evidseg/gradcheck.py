@@ -208,8 +208,13 @@ def _es_leaves(rng, i=4, c=3):
             "es.gamma_roots": _u(rng, i, lo=0.05, hi=0.1)}
 
 
+def _es_features(rng, m):
+    # (1, C, M) features, contiguous so the checker perturbs them in place
+    return _u(rng, m, 3, lo=-0.4, hi=0.4).T[None].copy()
+
+
 def case_distance_activation(rng):
-    leaves = {"f": _u(rng, 10, 3, lo=-0.4, hi=0.4), **_es_leaves(rng)}
+    leaves = {"f": _es_features(rng, 10), **_es_leaves(rng)}
 
     def build(lv, iv):
         s = ev.distance_activation(lv["f"], lv["es.prototypes"],
@@ -220,20 +225,20 @@ def case_distance_activation(rng):
 
 
 def case_bba(rng):
-    leaves = {"f": _u(rng, 8, 3, lo=-0.4, hi=0.4), **_es_leaves(rng)}
+    leaves = {"f": _es_features(rng, 8), **_es_leaves(rng)}
 
     def build(lv, iv):
         s = ev.distance_activation(lv["f"], lv["es.prototypes"],
                                    lv["es.gamma_roots"])
         masses = ev.bba(s, lv["es.membership_logits"], lv["es.alpha_logits"])
-        m_sing, m_omega = masses[..., :ev.K], masses[..., ev.IGNORANCE]
+        m_sing, m_omega = masses[:, :ev.K], masses[:, ev.IGNORANCE]
         return _square_sum(m_sing) + _square_sum(m_omega)
 
     return Graph(build, leaves), {}
 
 
 def case_dempster_fuse(rng):
-    leaves = {"f": _u(rng, 8, 3, lo=-0.4, hi=0.4), **_es_leaves(rng)}
+    leaves = {"f": _es_features(rng, 8), **_es_leaves(rng)}
 
     def build(lv, iv):
         s = ev.distance_activation(lv["f"], lv["es.prototypes"],

@@ -2,17 +2,19 @@
 
 Only the ops the segmentation model records are implemented: add, sub, mul
 and div with broadcasting, exp, rectifier, logistic squashing, softmax (a
-composite of these), sums and the mean of all elements, reshape, transpose,
-basic indexing (ints, slices, Ellipsis), channel concatenation, 3D
-convolution (stride 1, same padding), 2x max-pooling and 2x
-nearest-neighbour upsampling; the evidential head adds three fused ops of
-its own. conv3d is a tap-folded GEMM for the forward and both gradients:
-for one cache-sized slab of output x-planes at a time, only the k z-shifts
-of each zero-padded channel are copied, the k^2 (x, y) taps are strided
-views of that copy, and one batched BLAS product per slab multiplies each
-tap by its slice of the kernel; the tap products are summed into the
-output (or the weight gradient) before the next slab. `as_tensor` turns
-any other operand into a constant Tensor.
+composite of these), sums and the mean of all elements, reshape, basic
+indexing (ints, slices, Ellipsis), channel concatenation, 3D convolution
+(stride 1, same padding), 2x max-pooling and 2x nearest-neighbour
+upsampling; the evidential head adds three fused ops of its own. A test
+checks that a train step records every op the package defines.
+
+conv3d is a tap-folded GEMM for the forward and both gradients: for one
+cache-sized slab of output x-planes at a time, only the k z-shifts of each
+zero-padded channel are copied, the k^2 (x, y) taps are strided views of
+that copy, and one batched BLAS product per slab multiplies each tap by
+its slice of the kernel; the tap products are summed into the output (or
+the weight gradient) before the next slab. `as_tensor` turns any other
+operand into a constant Tensor.
 
 Layout is row-major, matching the volume file format. `Graph` is the
 float64 function the checker in `gradcheck` differentiates; it and
@@ -199,14 +201,6 @@ class Tensor:
             return (g.reshape(self.shape),)
 
         return self._make(self.data.reshape(shape), "reshape", (self,), backward)
-
-    def transpose(self, *axes):
-        inv = np.argsort(axes)
-
-        def backward(g):
-            return (g.transpose(inv),)
-
-        return self._make(self.data.transpose(axes), "transpose", (self,), backward)
 
     def __getitem__(self, index):
         # basic indexing only: the scatter below would drop repeated indices

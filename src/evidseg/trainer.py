@@ -49,6 +49,9 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("epochs", "batch_size", "prototypes", "seed"):
             setattr(self, name, bb.as_int(name, getattr(self, name)))
+        for name in ("lr", "lam", "alpha_init", "gamma_init", "beta1",
+                     "beta2", "eps", "lesion_patch_fraction"):
+            setattr(self, name, bb.as_real(name, getattr(self, name)))
         self.patch_dims = tuple(bb.as_int("patch_dims", d)
                                 for d in self.patch_dims)
         # chained comparisons are false for NaN, so NaN fails every check

@@ -316,6 +316,9 @@ def split_dataset(cases: list, ratios=(0.8, 0.1, 0.1), seed: int = 0):
     """Disjoint (train, val, test) partition with a seed-deterministic shuffle."""
     if not cases:
         raise ValueError("empty case list")
+    if len(ratios) != 3 or not all(0.0 <= r <= 1.0 for r in ratios):
+        raise ValueError(f"ratios must be three values in [0, 1], "
+                         f"got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"ratios must sum to 1, got {ratios}")
     order = np.random.default_rng(seed).permutation(len(cases))

@@ -76,30 +76,31 @@ def rewrite_header(path, edit):
 
 
 def tape_distance_activation(features: Tensor, prototypes, gamma_roots) -> Tensor:
-    """s_i = exp(-gamma_i * d_i^2) for features (M, C) against (I, C) prototypes."""
+    """s_i = exp(-gamma_i * d_i^2) for features (N, C, V) against (I, C)
+    prototypes; returns (N, I, V) activations."""
     f, p, eta = map(as_tensor, (features, prototypes, gamma_roots))
     if f.shape[1] != p.shape[1]:
         raise ValueError(
             f"feature dim {f.shape[1]} != prototype dim {p.shape[1]}")
-    m, c = f.shape
+    n, c, v = f.shape
     i = p.shape[0]
-    diff = f.reshape(m, 1, c) - p.reshape(1, i, c)  # (M, I, C)
-    d2 = (diff * diff).sum(axis=2)                   # (M, I)
+    diff = f.reshape(n, 1, c, v) - p.reshape(1, i, c, 1)  # (N, I, C, V)
+    d2 = (diff * diff).sum(axis=2)                         # (N, I, V)
     gamma = eta * eta
-    return (d2 * gamma.reshape(1, -1) * -1.0).exp()
+    return (d2 * gamma.reshape(1, i, 1) * -1.0).exp()
 
 
 def tape_bba(s: Tensor, membership_logits, alpha_logits):
-    """Per-prototype mass functions from activations s (M, I).
+    """Per-prototype mass functions from activations s (N, I, V).
 
-    Returns (singleton masses (M, I, K), ignorance masses (M, I)); the
-    three masses of each prototype sum to 1 by construction.
+    Returns (singleton masses (N, I, K, V), ignorance masses (N, I, V));
+    the three masses of each prototype sum to 1 by construction.
     """
     u = as_tensor(membership_logits).softmax(axis=1)  # (I, K)
     alpha = as_tensor(alpha_logits).sigmoid()         # (I,)
-    m, i = s.shape
-    alpha_s = s * alpha.reshape(1, -1)             # (M, I)
-    m_sing = alpha_s.reshape(m, i, 1) * u.reshape(1, i, K)
+    n, i, v = s.shape
+    alpha_s = s * alpha.reshape(1, i, 1)           # (N, I, V)
+    m_sing = alpha_s.reshape(n, i, 1, v) * u.reshape(1, i, K, 1)
     m_omega = 1.0 - alpha_s
     return m_sing, m_omega
 
@@ -111,31 +112,30 @@ def tape_dempster_fuse(m_sing: Tensor, m_omega: Tensor) -> Tensor:
     prod_i(m_i({k}) + m_i(Omega)) - prod_i m_i(Omega), the unnormalized
     ignorance mass is prod_i m_i(Omega). The products are taken directly,
     one prototype at a time, not in log space as the package does.
-    Returns (M, 3) masses ordered (lesion, background, ignorance).
+    Returns (N, 3, V) masses ordered (lesion, background, ignorance).
     """
-    m, i, k = m_sing.shape
-    w = m_sing[:, 0] + m_omega[:, 0:1]  # (M, K)
-    o = m_omega[:, 0]                   # (M,)
+    i = m_sing.shape[1]
+    w = m_sing[:, 0] + m_omega[:, 0:1]  # (N, K, V)
+    o = m_omega[:, 0:1]                 # (N, 1, V)
     for j in range(1, i):
         w = w * (m_sing[:, j] + m_omega[:, j:j + 1])
-        o = o * m_omega[:, j]
-    mu_sing = w - o.reshape(m, 1)
-    norm = mu_sing.sum(axis=1) + o                                 # (M,)
-    masses = concat([mu_sing, o.reshape(m, 1)], axis=1)
-    if np.any(norm.data <= 1e-300):
+        o = o * m_omega[:, j:j + 1]
+    mu_sing = w - o
+    norm = mu_sing.sum(axis=1, keepdims=True) + o                  # (N, 1, V)
+    masses = concat([mu_sing, o], axis=1)
+    # total conflict: a normalizer below the smallest normal number
+    if np.any(norm.data < np.finfo(norm.dtype).tiny):
         raise ArithmeticError("total conflict in Dempster combination")
-    return masses / norm.reshape(m, 1)
+    return masses / norm
 
 
 def tape_es_forward(features: Tensor, params) -> Tensor:
     """`evidential_head.es_forward` through the tape head."""
-    n, c = features.shape[0], features.shape[1]
-    spatial = features.shape[2:]
-    m = n * int(np.prod(spatial))
-    flat = features.transpose(0, 2, 3, 4, 1).reshape(m, c)
-    s = tape_distance_activation(flat, params["es.prototypes"],
+    n, c, *spatial = features.shape
+    s = tape_distance_activation(features.reshape(n, c, -1),
+                                 params["es.prototypes"],
                                  params["es.gamma_roots"])
     m_sing, m_omega = tape_bba(s, params["es.membership_logits"],
                                params["es.alpha_logits"])
-    masses = tape_dempster_fuse(m_sing, m_omega)  # (M, 3)
-    return masses.reshape(n, *spatial, 3).transpose(0, 4, 1, 2, 3)
+    masses = tape_dempster_fuse(m_sing, m_omega)  # (N, 3, V)
+    return masses.reshape(n, K + 1, *spatial)

@@ -48,31 +48,32 @@ class TestEsParams:
 class TestDistanceActivation:
     def test_feature_on_prototype_gives_one(self):
         p = np.array([[1.0, -2.0, 0.5]])
-        s = distance_activation(Tensor(p.copy()), p, np.array([0.3])).data
+        s = distance_activation(Tensor(p.reshape(1, 3, 1)), p,
+                                np.array([0.3])).data
         np.testing.assert_allclose(s, 1.0, atol=1e-12)
 
     def test_zero_gamma_gives_one_everywhere(self):
         rng = np.random.default_rng(3)
         f = rng.standard_normal((10, 3))
         p = rng.standard_normal((2, 3))
-        s = distance_activation(Tensor(f), p, np.zeros(2)).data
+        s = distance_activation(Tensor(f.T[None]), p, np.zeros(2)).data
         np.testing.assert_allclose(s, 1.0, atol=1e-12)
 
     def test_hand_value_exp_minus_one(self):
         # gamma 0.01 at squared distance 100
-        f = np.array([[10.0]])
+        f = np.array([[[10.0]]])
         p = np.array([[0.0]])
         s = distance_activation(Tensor(f), p, np.array([0.1])).data
         np.testing.assert_allclose(s, np.exp(-1.0), rtol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            distance_activation(Tensor(np.zeros((2, 3))), np.zeros((2, 4)),
-                                np.zeros(2))
+            distance_activation(Tensor(np.zeros((1, 3, 2))),
+                                np.zeros((2, 4)), np.zeros(2))
 
     def test_in_unit_interval(self):
         rng = np.random.default_rng(4)
-        s = distance_activation(Tensor(rng.standard_normal((20, 3))),
+        s = distance_activation(Tensor(rng.standard_normal((20, 3)).T[None]),
                                 rng.standard_normal((5, 3)),
                                 rng.uniform(0, 2, 5)).data
         assert np.all(s > 0) and np.all(s <= 1)
@@ -82,7 +83,7 @@ class TestDistanceActivation:
         # which made s exceed 1 and 1 - alpha s negative for alpha near 1
         f = (10.0 * np.random.default_rng(12).standard_normal((1000, 4))
              ).astype(np.float32)
-        s = distance_activation(Tensor(f), f[:20],
+        s = distance_activation(Tensor(f.T[None]), f[:20],
                                 np.full(20, 3.0, np.float32)).data
         assert s.max() <= 1.0
 
@@ -90,47 +91,47 @@ class TestDistanceActivation:
 class TestBba:
     def test_zero_distance_half_alpha(self):
         # alpha 0.5, memberships (0.7, 0.3), feature on the prototype
-        masses = bba(Tensor(np.ones((1, 1))), np.log([[0.7, 0.3]]),
+        masses = bba(Tensor(np.ones((1, 1, 1))), np.log([[0.7, 0.3]]),
                      np.zeros(1)).data
-        m_sing, m_omega = masses[..., :K], masses[..., IGNORANCE]
-        np.testing.assert_allclose(m_sing[0, 0], [0.35, 0.15],
+        m_sing, m_omega = masses[:, :K], masses[:, IGNORANCE]
+        np.testing.assert_allclose(m_sing[0, :, 0, 0], [0.35, 0.15],
                                    atol=1e-12)
-        np.testing.assert_allclose(m_omega[0, 0], 0.5, atol=1e-12)
+        np.testing.assert_allclose(m_omega[0, 0, 0], 0.5, atol=1e-12)
 
     def test_distant_feature_vacuous(self):
-        masses = bba(Tensor(np.zeros((1, 1))), np.log([[0.7, 0.3]]),
+        masses = bba(Tensor(np.zeros((1, 1, 1))), np.log([[0.7, 0.3]]),
                      np.zeros(1)).data
-        m_sing, m_omega = masses[..., :K], masses[..., IGNORANCE]
+        m_sing, m_omega = masses[:, :K], masses[:, IGNORANCE]
         np.testing.assert_allclose(m_sing, 0.0, atol=1e-15)
         np.testing.assert_allclose(m_omega, 1.0, atol=1e-15)
 
     def test_hand_value_at_exp_minus_one(self):
         # alpha 0.5, u (0.7, 0.3), s = e^-1: masses are 0.35*e^-1,
         # 0.15*e^-1 and 1 - 0.5*e^-1
-        s = Tensor(np.array([[np.exp(-1.0)]]))
+        s = Tensor(np.array([[[np.exp(-1.0)]]]))
         masses = bba(s, np.log([[0.7, 0.3]]), np.zeros(1)).data
-        m_sing, m_omega = masses[..., :K], masses[..., IGNORANCE]
-        np.testing.assert_allclose(m_sing[0, 0], [0.1287578, 0.0551819],
+        m_sing, m_omega = masses[:, :K], masses[:, IGNORANCE]
+        np.testing.assert_allclose(m_sing[0, :, 0, 0], [0.1287578, 0.0551819],
                                    atol=1e-6)
-        np.testing.assert_allclose(m_omega[0, 0], 0.8160603, atol=1e-6)
+        np.testing.assert_allclose(m_omega[0, 0, 0], 0.8160603, atol=1e-6)
 
     def test_masses_sum_to_one(self):
         rng = np.random.default_rng(5)
-        s = Tensor(rng.uniform(0, 1, size=(6, 4)))
+        s = Tensor(rng.uniform(0, 1, size=(6, 4)).T[None])
         masses = bba(s, rng.standard_normal((4, 2)),
                      rng.standard_normal(4)).data
-        m_sing, m_omega = masses[..., :K], masses[..., IGNORANCE]
-        total = m_sing.sum(axis=2) + m_omega
+        m_sing, m_omega = masses[:, :K], masses[:, IGNORANCE]
+        total = m_sing.sum(axis=1) + m_omega
         np.testing.assert_allclose(total, 1.0, atol=1e-12)
 
     def test_ignorance_floor(self):
         rng = np.random.default_rng(6)
         alpha_logits = rng.standard_normal(4)
-        s = Tensor(rng.uniform(0, 1, size=(6, 4)))
+        s = Tensor(rng.uniform(0, 1, size=(6, 4)).T[None])
         m_omega = bba(s, rng.standard_normal((4, 2)),
-                      alpha_logits).data[..., IGNORANCE]
+                      alpha_logits).data[:, IGNORANCE]
         floor = 1.0 - 1.0 / (1.0 + np.exp(-alpha_logits))
-        assert np.all(m_omega >= floor - 1e-12)
+        assert np.all(m_omega >= floor[:, None] - 1e-12)
 
     @pytest.mark.parametrize("logit", [18.0, 100.0])
     def test_saturated_float32_alpha_keeps_ignorance_positive(self, logit):
@@ -138,13 +139,13 @@ class TestBba:
         # mass was 1 - 1 * 1 = 0, its log -inf and the fusion gradients NaN
         a = np.full(3, logit, np.float32)
         assert np.all(strengths(a) < 1)
-        s = Tensor(np.ones((2, 3), np.float32), requires_grad=True)
+        s = Tensor(np.ones((1, 3, 2), np.float32), requires_grad=True)
         v = Tensor(np.log([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]]
                           ).astype(np.float32), requires_grad=True)
         alpha_logits = Tensor(a, requires_grad=True)
         masses = bba(s, v, alpha_logits)
         assert masses.dtype == np.float32
-        assert np.all(masses.data[..., IGNORANCE] > 0)
+        assert np.all(masses.data[:, IGNORANCE] > 0)
         fused = dempster_fuse(masses)
         (fused[:, LESION] + fused[:, IGNORANCE] * fused[:, IGNORANCE]
          ).sum().backward()
@@ -155,10 +156,10 @@ class TestBba:
     def test_omega_mass_monotone_in_distance(self):
         # larger squared distance -> smaller s -> larger ignorance mass
         d2 = np.linspace(0, 50, 25)
-        s = Tensor(np.exp(-0.1 * d2)[:, None])
+        s = Tensor(np.exp(-0.1 * d2)[None, None])
         m_omega = bba(s, np.zeros((1, 2)),
-                      np.array([0.7])).data[..., IGNORANCE]
-        assert np.all(np.diff(m_omega[:, 0]) >= 0)
+                      np.array([0.7])).data[:, IGNORANCE]
+        assert np.all(np.diff(m_omega[0, 0]) >= 0)
 
 
 class TestDempsterFuse:
@@ -192,6 +193,23 @@ class TestDempsterFuse:
             fused = fuse_mass_arrays(masses[None])[0]
             np.testing.assert_allclose(fused, powerset_fuse(masses),
                                        atol=1e-10)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_total_conflict_below_smallest_normal(self, dtype):
+        # {a} against {b}, each with ignorance e: the normalizer is
+        # 2e - e^2, and one below the dtype's smallest normal number is
+        # total conflict, a subnormal one included
+        tiny = np.finfo(dtype).tiny
+
+        def fuse(norm):
+            e = norm / 2
+            planes = np.array([[1 - e, 0.0], [0.0, 1 - e], [e, e]], dtype)
+            return dempster_fuse(Tensor(planes.reshape(1, 3, 2, 1))).data
+
+        np.testing.assert_allclose(fuse(1.01 * tiny)[0, :, 0],
+                                   [0.5, 0.5, 0.0], atol=1e-6)
+        with pytest.raises(ArithmeticError, match="total conflict"):
+            fuse(0.99 * tiny)
 
     def test_single_mass_identity(self):
         rng = np.random.default_rng(10)
@@ -307,8 +325,7 @@ class TestFusedStages:
 
     def test_each_stage_is_one_node_on_its_inputs(self):
         f, params, _ = self._leaves(2)
-        flat = Tensor(f.transpose(0, 2, 3, 4, 1).reshape(-1, 4),
-                      requires_grad=True)
+        flat = Tensor(f.reshape(2, 4, -1), requires_grad=True)
         lv = {k: Tensor(v, requires_grad=True) for k, v in params.items()}
         s = distance_activation(flat, lv["es.prototypes"],
                                 lv["es.gamma_roots"])
@@ -321,13 +338,13 @@ class TestFusedStages:
                 (fused, (masses,))):
             assert len(out._prev) == len(inputs)
             assert all(a is b for a, b in zip(out._prev, inputs))
-        m = flat.shape[0]
-        assert (s.shape, masses.shape, fused.shape) == ((m, 20), (m, 20, 3),
-                                                       (m, 3))
-        # prototype-major planes: reductions over prototypes add
-        # contiguous M-vectors
-        assert s.data.T.flags.c_contiguous
-        assert masses.data.transpose(2, 1, 0).flags.c_contiguous
+        n, _, v = flat.shape
+        assert (s.shape, masses.shape, fused.shape) == (
+            (n, 20, v), (n, 3, 20, v), (n, 3, v))
+        # voxel-minor planes: reductions over prototypes add contiguous
+        # V-vectors
+        for out in (s, masses, fused):
+            assert out.data.flags.c_contiguous
 
 
 class TestDecide:

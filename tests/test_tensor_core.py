@@ -1,6 +1,8 @@
 """Autodiff engine: forward values, backward gradients, FD harness."""
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -462,8 +464,23 @@ def recorded_ops(monkeypatch, run):
     return ops
 
 
+def defined_ops():
+    """The op name of every `_make` call in the package's source."""
+    ops = set()
+    for path in Path(tc.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "_make"):
+                op = node.args[1]
+                assert isinstance(op, ast.Constant), (path.name, node.lineno)
+                ops.add(op.value)
+    return ops
+
+
 def test_gradcheck_cases_cover_exactly_the_model_ops(monkeypatch):
-    # the suite checks every op kind the model records, and no other
+    # the suite checks every op kind the model records, and no other; and
+    # the package defines no op the model does not record
     def train_steps():
         rng = np.random.default_rng(0)
         x = rng.standard_normal((2, 2, 8, 8, 8)).astype(np.float32)
@@ -486,3 +503,4 @@ def test_gradcheck_cases_cover_exactly_the_model_ops(monkeypatch):
     model_ops = recorded_ops(monkeypatch, train_steps)
     assert {"conv3d", "maxpool3d", "dempster_fuse"} <= model_ops
     assert recorded_ops(monkeypatch, suite_graphs) == model_ops
+    assert defined_ops() == model_ops

@@ -1,6 +1,7 @@
 """Input encoding, initialization constants, Adam behavior, checkpoints, the
 epoch loop."""
 
+import json
 import math
 
 import numpy as np
@@ -62,7 +63,9 @@ class TestConfig:
         ("patch_dims", (16, -1, 16)), ("patch_dims", (16, 16)),
         ("epochs", 1.5), ("epochs", True), ("batch_size", 1.5),
         ("prototypes", 2.5), ("seed", True), ("seed", 1.5),
-        ("patch_dims", (16.7, 16, 16)), ("patch_dims", (16, True, 16))])
+        ("patch_dims", (16.7, 16, 16)), ("patch_dims", (16, True, 16)),
+        ("lr", True), ("lam", True), ("gamma_init", True), ("eps", True),
+        ("lesion_patch_fraction", True), ("lr", "0.001"), ("beta1", None)])
     def test_untrainable_value_named_in_error(self, name, value):
         with pytest.raises(ValueError, match=name):
             TrainConfig(**{name: value})
@@ -73,6 +76,11 @@ class TestConfig:
         assert (c.epochs, c.seed, c.patch_dims) == (3, 1, (16, 16, 16))
         assert type(c.epochs) is int and type(c.seed) is int
         assert all(type(d) is int for d in c.patch_dims)
+
+    def test_numpy_reals_become_floats(self):
+        c = TrainConfig(lr=np.float32(0.5), lam=np.int64(0), eps=1)
+        assert (type(c.lr), type(c.lam), type(c.eps)) == (float, float, int)
+        json.dumps(c.__dict__)  # what save_checkpoint writes
 
     def test_largest_gamma_init_squares_finite(self):
         config = TrainConfig(gamma_init=float(np.finfo(np.float32).max))

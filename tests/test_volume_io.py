@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import struct
 
 import numpy as np
@@ -196,6 +197,11 @@ class TestSplit:
     def test_ratios_must_sum_to_one(self):
         with pytest.raises(ValueError):
             split_dataset(list(range(10)), (0.5, 0.2, 0.2), 0)
+        # these sum to 1, but a ratio outside [0, 1] would make splits
+        # overlap, and a split needs three
+        for ratios in [(1.2, -0.1, -0.1), (0.5, 0.5)]:
+            with pytest.raises(ValueError, match=re.escape(str(ratios))):
+                split_dataset(list(range(10)), ratios, 0)
 
     def test_empty_case_list(self):
         with pytest.raises(ValueError):
