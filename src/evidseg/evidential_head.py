@@ -22,9 +22,10 @@ each stage one tape node with a hand-derived backward:
   ordered (lesion, background, ignorance) on axis 1
 - `dempster_fuse(masses)` -> fused masses (N, 3, V), same order
 
-Every array is contiguous, so each log-space product over prototypes adds
-I contiguous V-vectors, and the mass map is a reshape of the fused masses.
-`fuse_mass_arrays` runs the same Dempster forward on plain arrays.
+Every array is contiguous, so each running product over prototypes
+multiplies I contiguous V-vectors, and the mass map is a reshape of the
+fused masses. `fuse_mass_arrays` runs the same Dempster forward on plain
+arrays.
 """
 
 from __future__ import annotations
@@ -50,7 +51,8 @@ def strengths(alpha_logits):
 
     Where logistic(a) rounds to 1 (a > ~17 in float32), alpha is 1 - epsneg
     instead, so alpha s < 1 for every activation s <= 1 and m(Omega) =
-    1 - alpha s stays positive: its log in Dempster's rule stays finite.
+    1 - alpha s stays positive: the divisions by it in the backward of
+    Dempster's rule stay finite.
     """
     alpha = 1.0 / (1.0 + np.exp(-np.asarray(alpha_logits)))
     return np.minimum(alpha, 1.0 - np.finfo(alpha.dtype).epsneg)
@@ -130,17 +132,22 @@ def _dempster(planes: np.ndarray):
 
     The unnormalized singleton mass of class k is
     prod_i(m_i({k}) + m_i(Omega)) - prod_i m_i(Omega), the unnormalized
-    ignorance mass is prod_i m_i(Omega). Products run in log space; every
-    factor is positive because `bba` keeps m_i(Omega) >= epsneg (alpha
-    held below 1, s <= 1), so the logs here and the divisions by factors
-    in `dempster_fuse`'s backward stay finite.
+    ignorance mass is prod_i m_i(Omega). Both are running products over
+    the I planes. Every factor lies in [epsneg, 1], because `bba` keeps
+    m_i(Omega) >= epsneg (alpha held below 1, s <= 1): a partial product
+    is never below the final one, so none underflows before the final
+    product does, and the divisions by factors in `dempster_fuse`'s
+    backward stay finite.
     Returns (fused (N, 3, V), w (N, K, V) singleton products,
     o (N, 1, V) ignorance product, norm (N, 1, V)).
     """
-    omega = planes[:, K:]                             # (N, 1, I, V)
-    log_w = planes[:, :K] + omega
-    w = np.exp(np.log(log_w, out=log_w).sum(axis=2))  # (N, K, V)
-    o = np.exp(np.log(omega).sum(axis=2))             # (N, 1, V)
+    omega = planes[:, K:]                    # (N, 1, I, V)
+    w = planes[:, :K, 0] + omega[:, :, 0]    # (N, K, V)
+    o = omega[:, :, 0].copy()                # (N, 1, V)
+    factor = np.empty_like(w)
+    for i in range(1, planes.shape[2]):
+        w *= np.add(planes[:, :K, i], omega[:, :, i], out=factor)
+        o *= omega[:, :, i]
     fused = np.concatenate([w - o, o], axis=1)
     norm = fused[:, :K].sum(axis=1, keepdims=True) + o
     # total conflict: all mass on the empty set, to within rounding. A

@@ -16,6 +16,12 @@ its slice of the kernel; the tap products are summed into the output (or
 the weight gradient) before the next slab. `as_tensor` turns any other
 operand into a constant Tensor.
 
+A node keeps its parents and its backward only when a parent requires a
+gradient. A no-grad node keeps no parents, so a forward on constants
+(inference) builds no tape: each activation is freed once its last
+consumer has run. Work that only a backward reads, relu's mask and
+maxpool's argmax, is done in the backward.
+
 Layout is row-major, matching the volume file format. `Graph` is the
 float64 function the checker in `gradcheck` differentiates; it and
 `track_patterns` stay in this module because perfbench's traced run wraps
@@ -33,7 +39,13 @@ class TensorError(ValueError):
 
 
 class NonFiniteError(ArithmeticError):
-    """A forward pass produced NaN or Inf; carries the producing op."""
+    """A forward pass produced NaN or Inf; carries the producing op.
+
+    That is the earliest op on the tape with a non-finite value. Ops on
+    constants only keep no parents, so a chain of them counts as its last
+    op: a non-finite constant input, or one that such a chain produces, is
+    reported at the chain's last op, not as 'leaf' or the op that made it.
+    """
 
     def __init__(self, op: str):
         super().__init__(f"non-finite value produced by op '{op}'")
@@ -82,12 +94,12 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "op", "_prev", "_backward")
 
-    def __init__(self, data, requires_grad=False, op="leaf", prev=()):
+    def __init__(self, data, requires_grad=False, op="leaf"):
         self.data = np.asarray(data)
         self.grad = None
         self.requires_grad = requires_grad
         self.op = op
-        self._prev = prev
+        self._prev = ()
         self._backward = None
 
     @property
@@ -105,10 +117,13 @@ class Tensor:
 
     @staticmethod
     def _make(data, op, prev, backward):
-        """Tape node for `data`; keeps `backward` only if a parent needs it."""
-        out = Tensor(data, op=op, prev=tuple(prev))
-        out.requires_grad = any(p.requires_grad for p in out._prev)
-        if out.requires_grad:
+        """Tape node for `data`; keeps its parents and `backward` only if a
+        parent needs a gradient, so a no-grad node holds no other array."""
+        out = Tensor(data, op=op)
+        prev = tuple(prev)
+        if any(p.requires_grad for p in prev):
+            out.requires_grad = True
+            out._prev = prev
             out._backward = backward
         return out
 
@@ -162,15 +177,16 @@ class Tensor:
         return self._make(out_data, "exp", (self,), lambda g: (g * out_data,))
 
     def relu(self):
-        mask = self.data > 0
-        if _PATTERNS is not None:
-            _PATTERNS.append(hash(mask.tobytes()))
-        # where(mask, data, 0.0) bit for bit (NaN gives +0.0), at a tenth of
-        # the cost; "+= 0.0" turns the -0.0 fmax keeps on some numpy loops
-        # into +0.0
+        # where(data > 0, data, 0.0) bit for bit (NaN gives +0.0), at a tenth
+        # of the cost; "+= 0.0" turns the -0.0 fmax keeps on some numpy loops
+        # into +0.0. So out > 0 exactly where data > 0, and the mask is
+        # taken from out only when a backward or the pattern hash reads it
         out_data = np.fmax(self.data, 0.0)
         out_data += 0.0
-        return self._make(out_data, "relu", (self,), lambda g: (g * mask,))
+        if _PATTERNS is not None:
+            _PATTERNS.append(hash((out_data > 0).tobytes()))
+        return self._make(out_data, "relu", (self,),
+                          lambda g: (g * (out_data > 0),))
 
     def sigmoid(self):
         out_data = 1.0 / (1.0 + np.exp(-self.data))
@@ -373,20 +389,37 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor):
     return Tensor._make(out_data, "conv3d", (x, w, b), backward)
 
 
+def _window_argmax(x):
+    """First-wins argmax over each 2x2x2 window of x (N, C, X, Y, Z), as
+    (N, C, X/2, Y/2, Z/2) indices in (dx, dy, dz) order; NaN counts as
+    the largest value, as in `np.argmax`."""
+    n, c, sx, sy, sz = x.shape
+    v = x.reshape(n, c, sx // 2, 2, sy // 2, 2, sz // 2, 2)
+    v = np.ascontiguousarray(v.transpose(0, 1, 2, 4, 6, 3, 5, 7))
+    return v.reshape(n, c, sx // 2, sy // 2, sz // 2, 8).argmax(axis=-1)
+
+
 def maxpool3d(x: Tensor):
-    """2x2x2 max pooling; spatial dims must be even."""
+    """2x2x2 max pooling; spatial dims must be even.
+
+    The forward takes pairwise maxima over x, then y, then z: the values
+    of the first-wins gather at `_window_argmax`, NaN included, except
+    that a tie of -0.0 and +0.0 may come out with either sign (relu
+    outputs hold no -0.0). The argmax itself is computed only for the
+    pattern hash, while tracking, and in the backward.
+    """
     n, c, sx, sy, sz = x.shape
     if sx % 2 or sy % 2 or sz % 2:
         raise TensorError(f"maxpool3d needs even spatial dims, got {(sx, sy, sz)}")
-    v = x.data.reshape(n, c, sx // 2, 2, sy // 2, 2, sz // 2, 2)
-    v = np.ascontiguousarray(v.transpose(0, 1, 2, 4, 6, 3, 5, 7))
-    v = v.reshape(n, c, sx // 2, sy // 2, sz // 2, 8)
-    idx = v.argmax(axis=-1)
+    d = x.data
+    d = np.maximum(d[:, :, 0::2], d[:, :, 1::2])
+    d = np.maximum(d[:, :, :, 0::2], d[:, :, :, 1::2])
+    out_data = np.maximum(d[..., 0::2], d[..., 1::2])
     if _PATTERNS is not None:
-        _PATTERNS.append(hash(idx.tobytes()))
-    out_data = np.take_along_axis(v, idx[..., None], axis=-1)[..., 0]
+        _PATTERNS.append(hash(_window_argmax(x.data).tobytes()))
 
     def backward(g):
+        idx = _window_argmax(x.data)
         gv = np.zeros((n, c, sx // 2, sy // 2, sz // 2, 8), dtype=g.dtype)
         np.put_along_axis(gv, idx[..., None], g[..., None], axis=-1)
         gv = gv.reshape(n, c, sx // 2, sy // 2, sz // 2, 2, 2, 2)

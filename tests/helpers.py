@@ -110,8 +110,8 @@ def tape_dempster_fuse(m_sing: Tensor, m_omega: Tensor) -> Tensor:
 
     Closed form on a 2-class frame: the unnormalized singleton mass is
     prod_i(m_i({k}) + m_i(Omega)) - prod_i m_i(Omega), the unnormalized
-    ignorance mass is prod_i m_i(Omega). The products are taken directly,
-    one prototype at a time, not in log space as the package does.
+    ignorance mass is prod_i m_i(Omega). The products run one prototype
+    at a time, in the package's order, but each through generic tape ops.
     Returns (N, 3, V) masses ordered (lesion, background, ignorance).
     """
     i = m_sing.shape[1]

@@ -13,7 +13,20 @@ from evidseg.evidential_head import (BACKGROUND, CODE_BACKGROUND, CODE_IGNORANCE
                                      pignistic_lesion, strengths)
 from evidseg.tensor_core import Tensor
 from helpers import (powerset_fuse, random_es_params, random_simple_bba,
-                     tape_es_forward)
+                     tape_dempster_fuse, tape_es_forward)
+
+
+def log_space_fuse(planes):
+    """Dempster fusion of (N, 3, I, V) planes with each product taken as
+    the exponentiated sum of its factors' logs, and the same test for
+    total conflict: the reference for where fusion gives up."""
+    omega = planes[:, K:]
+    w = np.exp(np.log(planes[:, :K] + omega).sum(axis=2))
+    o = np.exp(np.log(omega).sum(axis=2))
+    norm = (w - o).sum(axis=1, keepdims=True) + o
+    if np.any(norm < np.finfo(norm.dtype).tiny):
+        raise ArithmeticError("total conflict in Dempster combination")
+    return np.concatenate([w - o, o], axis=1) / norm
 
 
 def single_prototype_bba(alpha, gamma, u_lesion, d2):
@@ -210,6 +223,43 @@ class TestDempsterFuse:
                                    [0.5, 0.5, 0.0], atol=1e-6)
         with pytest.raises(ArithmeticError, match="total conflict"):
             fuse(0.99 * tiny)
+
+    def test_saturated_float32_masses(self):
+        # I = 20 prototypes with m(Omega) = e from epsneg, the floor `bba`
+        # keeps, upward; the rest of each prototype's mass goes to {a} with
+        # membership u. Half lesion, half background (u = 1, 0) is in
+        # total conflict while e^10 is below the smallest normal number;
+        # random memberships are not
+        i = 20
+        rng = np.random.default_rng(16)
+        configs = {"split": np.repeat([1.0, 0.0], i // 2),
+                   "mixed": rng.uniform(0.0, 1.0, i)}
+        sweep = np.geomspace(np.finfo(np.float32).epsneg, 0.5, 400)
+        raised = {name: [] for name in configs}
+        for name, u in configs.items():
+            for e in sweep:
+                planes = np.stack([(1 - e) * u, (1 - e) * (1 - u),
+                                   np.full(i, e)]).astype(np.float32)
+                planes = planes.reshape(1, 3, i, 1)
+                try:
+                    want = log_space_fuse(planes)
+                except ArithmeticError:
+                    with pytest.raises(ArithmeticError, match="conflict"):
+                        dempster_fuse(Tensor(planes))
+                    raised[name].append(e)
+                    continue
+                got = dempster_fuse(Tensor(planes)).data
+                p64 = planes.astype(np.float64)
+                ref = tape_dempster_fuse(Tensor(p64[:, :K].swapaxes(1, 2)),
+                                         Tensor(p64[:, K])).data
+                assert got.dtype == np.float32
+                for other in (ref, want):
+                    np.testing.assert_allclose(got, other, rtol=1e-5,
+                                               atol=1e-5 * np.abs(ref).max(),
+                                               err_msg=f"{name} e={e}")
+        assert raised["mixed"] == []
+        assert 0 < len(raised["split"]) < len(sweep)
+        assert max(raised["split"]) < min(set(sweep) - set(raised["split"]))
 
     def test_single_mass_identity(self):
         rng = np.random.default_rng(10)

@@ -9,7 +9,7 @@ import pytest
 
 from evidseg import objectives as obj
 from evidseg import tensor_core as tc
-from evidseg.backbone_unet import BackboneConfig
+from evidseg.backbone_unet import FULL_CHANNELS, BackboneConfig
 from evidseg.gradcheck import CASES, STEP, finite_difference_check
 from evidseg.tensor_core import (Graph, Tensor, TensorError, concat, conv3d,
                                  maxpool3d, upsample_nearest3d)
@@ -81,6 +81,23 @@ class TestForwardEval:
                   {"x": np.array([1.0, 1000.0])})
         with pytest.raises(ArithmeticError, match="exp"):
             g.forward_eval({})
+
+    @pytest.mark.parametrize("trainable, op", [(True, "leaf"),
+                                               (False, "reshape")])
+    def test_nonfinite_input_names_first_op_on_the_tape(self, trainable, op):
+        # a trainable leaf is on the tape and is named; a constant input is
+        # not, and ops on constants keep no parents, so the report names
+        # the first op that read it
+        x = np.array([1.0, np.nan])
+        leaves, inputs = ({"x": x}, {}) if trainable else ({}, {"x": x})
+
+        def build(lv, iv):
+            w = Tensor(np.ones(2), requires_grad=True)
+            return ({**lv, **iv}["x"].reshape(2, 1) * w).sum()
+
+        with pytest.raises(tc.NonFiniteError) as err:
+            Graph(build, leaves).forward_eval(inputs)
+        assert err.value.op == op
 
 
 class TestBackwardGradients:
@@ -197,6 +214,34 @@ class TestStructuredOps:
         with pytest.raises(TensorError, match="channel mismatch"):
             conv3d(x, w, Tensor(np.zeros(3)))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_maxpool_pairwise_maxima_match_first_wins_gather(self, dtype):
+        # relu outputs with many exact ties (zeros and a repeated value),
+        # plus +inf and NaN placed into some windows
+        rng = np.random.default_rng(14)
+        x = Tensor(np.round(rng.standard_normal((2, 3, 6, 4, 8)), 1)
+                   .astype(dtype)).relu().data
+        assert not np.any(np.signbit(x))  # relu outputs hold no -0.0
+        x.flat[rng.choice(x.size, 20, replace=False)] = np.inf
+        x.flat[rng.choice(x.size, 20, replace=False)] = np.nan
+        blocks = x.reshape(2, 3, 3, 2, 2, 2, 4, 2).transpose(
+            0, 1, 2, 4, 6, 3, 5, 7).reshape(2, 3, 3, 2, 4, 8)
+        first = blocks.argmax(axis=-1)  # NaN wins, then the first maximum
+        want = np.take_along_axis(blocks, first[..., None], axis=-1)[..., 0]
+        assert np.isnan(want).any() and np.isinf(want).any()
+        xt = Tensor(x, requires_grad=True)
+        out = maxpool3d(xt)
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out.data, want)
+        # the backward routes each window's gradient to its first maximum
+        g = rng.standard_normal(want.shape).astype(dtype)
+        (out * Tensor(g)).sum().backward()
+        gv = np.zeros(blocks.shape, dtype)
+        np.put_along_axis(gv, first[..., None], g[..., None], axis=-1)
+        np.testing.assert_array_equal(
+            xt.grad, gv.reshape(2, 3, 3, 2, 4, 2, 2, 2).transpose(
+                0, 1, 2, 5, 3, 6, 4, 7).reshape(x.shape))
+
     def test_maxpool_halves_dims_and_takes_maxima(self):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((1, 2, 4, 6, 8))
@@ -220,6 +265,7 @@ class TestStructuredOps:
         want = g.reshape(2, 3, 2, 2, 3, 2, 4, 2).sum(axis=(3, 5, 7))
         np.testing.assert_allclose(x.grad, want, rtol=1e-12, atol=1e-14)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf * g summed
     @pytest.mark.parametrize("dtype, bits", [(np.float32, np.uint32),
                                              (np.float64, np.uint64)])
     def test_relu_matches_where_bit_for_bit(self, dtype, bits):
@@ -231,12 +277,22 @@ class TestStructuredOps:
                             info.smallest_subnormal, -info.smallest_subnormal,
                             1.5, -1.5, info.max, -info.max], dtype=dtype)
         long = np.tile(special, 11)
+        rng = np.random.default_rng(13)
         for x in (special, long, special[::2], long[1::3],
                   long.reshape(11, -1)[:, ::-1]):
-            got = Tensor(x).relu().data
-            want = np.where(x > 0, x, 0.0)
-            assert got.dtype == want.dtype == dtype
-            np.testing.assert_array_equal(got.view(bits), want.view(bits))
+            for requires_grad in (False, True):
+                xt = Tensor(x, requires_grad=requires_grad)
+                out = xt.relu()
+                want = np.where(x > 0, x, 0.0)
+                assert out.dtype == want.dtype == dtype
+                np.testing.assert_array_equal(out.data.view(bits),
+                                              want.view(bits))
+            # the trainable pass's backward, g * (out > 0), is g * (x > 0)
+            # bit for bit, signed zeros too
+            g = rng.standard_normal(x.shape).astype(dtype)
+            (out * Tensor(g)).sum().backward()
+            np.testing.assert_array_equal(xt.grad.view(bits),
+                                          (g * (x > 0)).view(bits))
 
     @pytest.mark.parametrize("index", [
         (slice(None), 2), 1, (Ellipsis, 0), (0, slice(1, None), Ellipsis),
@@ -374,6 +430,33 @@ class TestConv3dSlabs:
             tracemalloc.stop()
         assert x.grad.shape == x.shape and w.grad.shape == w.shape
         assert peak <= bound, f"peak {peak:,} B over the bound {bound:,.0f} B"
+
+
+class TestInferenceKeepsNoTape:
+    def test_no_grad_forward_holds_no_parents(self):
+        model = Model.create(BackboneConfig(channels=(2, 4)), "evidential",
+                             TrainConfig(prototypes=3), 0)
+        x = np.zeros((1, 2, 8, 8, 8), np.float32)
+        out, _ = model.forward(x, trainable=False)
+        assert out._prev == () and not out.requires_grad
+        out, _ = model.forward(x, trainable=True)
+        assert out._prev and out.requires_grad
+
+    def test_full_scale_window_peak_memory(self):
+        # one full-scale 32^3 window: with the tape kept, every activation
+        # lived until the window ended (37.7 MiB measured); without it, the
+        # peak is the largest few activations at once (12.3 MiB measured)
+        model = Model.create(BackboneConfig(channels=FULL_CHANNELS),
+                             "evidential", TrainConfig(), 0)
+        x = np.random.default_rng(15).standard_normal(
+            (1, 2, 32, 32, 32)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            model.predict_masses(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestFiniteDifferenceCheck:
