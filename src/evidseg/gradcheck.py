@@ -5,7 +5,9 @@ with ops the model itself records, and checks the backward gradients
 against central differences. The step (`STEP`, 1e-3) and the relative
 tolerance (`TOL`, 1e-4) are fixed constants. The checker skips elements
 that straddle a kink, a relu or max-pooling switch point, where a central
-difference is not a derivative.
+difference is not a derivative: there the kink patterns each evaluation
+leaves on `Graph.patterns` differ. Cases that differ only in their loss
+share one builder.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ from . import backbone_unet as bb
 from . import evidential_head as ev
 from . import objectives as obj
 from .seeding import derive_seed
-from .tensor_core import (Graph, concat, conv3d, maxpool3d, track_patterns,
-                          upsample_nearest3d)
+from .tensor_core import Graph, concat, conv3d, maxpool3d, upsample_nearest3d
 
 STEP = 1e-3
 TOL = 1e-4
@@ -53,63 +54,54 @@ def finite_difference_check(graph: Graph, leaf: str,
     the analytic and numeric values are below 1e-8 in magnitude. `sample`
     limits the check to that many randomly chosen elements of the leaf.
 
-    Elements whose relu/argmax activation pattern differs between the two
-    perturbed evaluations straddle a kink, where the central difference is
-    not a derivative estimate; they are skipped and counted.
+    Elements whose kink patterns (`Graph.patterns`) differ between the
+    base and the two perturbed evaluations straddle a kink, where the
+    central difference is not a derivative estimate; they are skipped and
+    counted.
     """
-    patterns = track_patterns(True)
+    graph.forward_eval(inputs)
+    base_pattern = graph.patterns
+    analytic = graph.backward_gradients()[leaf]
+    flat = graph.leaves[leaf].reshape(-1)
+    indices = np.arange(flat.size)
+    if sample is not None and sample < flat.size:
+        rng = rng or np.random.default_rng(0)
+        indices = rng.choice(flat.size, size=sample, replace=False)
 
-    def evaluate():
-        # the value and the kink patterns of one forward evaluation
-        patterns.clear()
-        value = graph.forward_eval(inputs)
-        return value, tuple(patterns)
+    def central(i, h):
+        orig = flat[i]
+        flat[i] = orig + h
+        f_plus, plus_pattern = graph.forward_eval(inputs), graph.patterns
+        flat[i] = orig - h
+        f_minus, minus_pattern = graph.forward_eval(inputs), graph.patterns
+        flat[i] = orig
+        if not (base_pattern == plus_pattern == minus_pattern):
+            return None
+        return (f_plus - f_minus) / (2.0 * h)
 
-    try:
-        _, base_pattern = evaluate()
-        analytic = graph.backward_gradients()[leaf]
-        theta = graph.leaves[leaf]
-        flat = theta.reshape(-1)
-        indices = np.arange(flat.size)
-        if sample is not None and sample < flat.size:
-            rng = rng or np.random.default_rng(0)
-            indices = rng.choice(flat.size, size=sample, replace=False)
-        def central(i, h):
-            orig = flat[i]
-            flat[i] = orig + h
-            f_plus, plus_pattern = evaluate()
-            flat[i] = orig - h
-            f_minus, minus_pattern = evaluate()
-            flat[i] = orig
-            if not (base_pattern == plus_pattern == minus_pattern):
-                return None
-            return (f_plus - f_minus) / (2.0 * h)
+    def rel_error(a, fd):
+        # relative error with an absolute floor: elements smaller than
+        # 1e-8/TOL are held to absolute error 1e-8, since relative
+        # error on near-zero gradients only measures FD truncation noise
+        denom = max(abs(a), abs(fd), 1e-8 / TOL)
+        return abs(a - fd) / denom
 
-        def rel_error(a, fd):
-            # relative error with an absolute floor: elements smaller than
-            # 1e-8/TOL are held to absolute error 1e-8, since relative
-            # error on near-zero gradients only measures FD truncation noise
-            denom = max(abs(a), abs(fd), 1e-8 / TOL)
-            return abs(a - fd) / denom
-
-        max_err, skipped = 0.0, 0
-        for i in indices:
-            fd = central(i, STEP)
-            if fd is None:
-                skipped += 1
-                continue
-            a = analytic.reshape(-1)[i]
-            err = rel_error(a, fd)
-            if err > TOL:
-                # truncation of the central difference itself can exceed TOL
-                # on high-curvature elements; a wrong gradient stays wrong as
-                # the step shrinks, so recheck before declaring failure
-                fd_fine = central(i, STEP / 8.0)
-                if fd_fine is not None:
-                    err = min(err, rel_error(a, fd_fine))
-            max_err = max(max_err, err)
-    finally:
-        track_patterns(False)
+    max_err, skipped = 0.0, 0
+    for i in indices:
+        fd = central(i, STEP)
+        if fd is None:
+            skipped += 1
+            continue
+        a = analytic.reshape(-1)[i]
+        err = rel_error(a, fd)
+        if err > TOL:
+            # truncation of the central difference itself can exceed TOL
+            # on high-curvature elements; a wrong gradient stays wrong as
+            # the step shrinks, so recheck before declaring failure
+            fd_fine = central(i, STEP / 8.0)
+            if fd_fine is not None:
+                err = min(err, rel_error(a, fd_fine))
+        max_err = max(max_err, err)
     return FdReport(leaf=leaf, max_error=max_err, passed=max_err <= TOL,
                     checked=len(indices) - skipped, skipped_at_kink=skipped)
 
@@ -213,41 +205,29 @@ def _es_features(rng, m):
     return _u(rng, m, 3, lo=-0.4, hi=0.4).T[None].copy()
 
 
-def case_distance_activation(rng):
-    leaves = {"f": _es_features(rng, 10), **_es_leaves(rng)}
+def _head_case(m, loss_of_s):
+    """Case factory: the head's stages on m feature vectors, scored by
+    `loss_of_s(s, leaves)` on their distance activations s."""
+    def factory(rng):
+        leaves = {"f": _es_features(rng, m), **_es_leaves(rng)}
 
-    def build(lv, iv):
-        s = ev.distance_activation(lv["f"], lv["es.prototypes"],
-                                   lv["es.gamma_roots"])
-        return (s * s).sum()
+        def build(lv, iv):
+            s = ev.distance_activation(lv["f"], lv["es.prototypes"],
+                                       lv["es.gamma_roots"])
+            return loss_of_s(s, lv)
 
-    return Graph(build, leaves), {}
+        return Graph(build, leaves), {}
 
-
-def case_bba(rng):
-    leaves = {"f": _es_features(rng, 8), **_es_leaves(rng)}
-
-    def build(lv, iv):
-        s = ev.distance_activation(lv["f"], lv["es.prototypes"],
-                                   lv["es.gamma_roots"])
-        masses = ev.bba(s, lv["es.membership_logits"], lv["es.alpha_logits"])
-        m_sing, m_omega = masses[:, :ev.K], masses[:, ev.IGNORANCE]
-        return _square_sum(m_sing) + _square_sum(m_omega)
-
-    return Graph(build, leaves), {}
+    return factory
 
 
-def case_dempster_fuse(rng):
-    leaves = {"f": _es_features(rng, 8), **_es_leaves(rng)}
+def _bba(s, lv):
+    return ev.bba(s, lv["es.membership_logits"], lv["es.alpha_logits"])
 
-    def build(lv, iv):
-        s = ev.distance_activation(lv["f"], lv["es.prototypes"],
-                                   lv["es.gamma_roots"])
-        fused = ev.dempster_fuse(ev.bba(s, lv["es.membership_logits"],
-                                        lv["es.alpha_logits"]))
-        return _square_sum(fused)
 
-    return Graph(build, leaves), {}
+def _bba_loss(s, lv):
+    masses = _bba(s, lv)
+    return _square_sum(masses[:, :ev.K]) + _square_sum(masses[:, ev.IGNORANCE])
 
 
 def _es_volume_graph(rng, loss_of_masses, n=1, c=3, d=4, i=4):
@@ -265,22 +245,14 @@ def case_es_forward(rng):
     return _es_volume_graph(rng, lambda m, lv, iv: _square_sum(m))
 
 
-def case_dice_loss_pignistic(rng):
+def _dice_case(mode):
+    """Case factory: the soft Dice loss on the `mode` lesion map."""
     def loss(masses, lv, iv):
         n = masses.shape[0]
-        s = obj.lesion_map(masses, "pignistic").reshape(n, -1)
+        s = obj.lesion_map(masses, mode).reshape(n, -1)
         return obj.dice_loss(s, iv["g"].reshape(n, -1))
 
-    return _es_volume_graph(rng, loss)
-
-
-def case_dice_loss_singleton(rng):
-    def loss(masses, lv, iv):
-        n = masses.shape[0]
-        s = obj.lesion_map(masses, "singleton").reshape(n, -1)
-        return obj.dice_loss(s, iv["g"].reshape(n, -1))
-
-    return _es_volume_graph(rng, loss)
+    return lambda rng: _es_volume_graph(rng, loss)
 
 
 def case_uncertainty_loss(rng):
@@ -345,12 +317,13 @@ CASES = {
     "maxpool": case_maxpool,
     "upsample": case_upsample,
     "concat": case_concat,
-    "distance_activation": case_distance_activation,
-    "bba": case_bba,
-    "dempster_fuse": case_dempster_fuse,
+    "distance_activation": _head_case(10, lambda s, lv: _square_sum(s)),
+    "bba": _head_case(8, _bba_loss),
+    "dempster_fuse": _head_case(
+        8, lambda s, lv: _square_sum(ev.dempster_fuse(_bba(s, lv)))),
     "es_forward": case_es_forward,
-    "dice_loss_pignistic": case_dice_loss_pignistic,
-    "dice_loss_singleton": case_dice_loss_singleton,
+    "dice_loss_pignistic": _dice_case("pignistic"),
+    "dice_loss_singleton": _dice_case("singleton"),
     "uncertainty_loss": case_uncertainty_loss,
     "total_loss": case_total_loss,
     "backbone_tiny": case_backbone_tiny,

@@ -124,12 +124,11 @@ def sliding_window_masses(forward_fn, x: np.ndarray,
     """Full-volume mass map from patch predictions, averaged in overlaps.
 
     `forward_fn` maps a (1, C, px, py, pz) input to (1, px, py, pz, 3)
-    masses. Averaged masses still sum to 1 but are renormalized anyway to
-    absorb float accumulation error.
+    masses. Dividing each voxel's window sum by its total averages the
+    windows: the total is the voxel's window count, up to float error.
     """
     dims = x.shape[1:]
     acc = np.zeros(dims + (3,), dtype=np.float64)
-    count = np.zeros(dims, dtype=np.float64)
     for sx in window_starts(dims[0], patch_dims[0], stride):
         for sy in window_starts(dims[1], patch_dims[1], stride):
             for sz in window_starts(dims[2], patch_dims[2], stride):
@@ -138,6 +137,4 @@ def sliding_window_masses(forward_fn, x: np.ndarray,
                       slice(sz, sz + patch_dims[2]))
                 patch = x[(slice(None),) + sl][None]
                 acc[sl] += forward_fn(patch)[0]
-                count[sl] += 1.0
-    masses = acc / count[..., None]
-    return masses / masses.sum(axis=-1, keepdims=True)
+    return acc / acc.sum(axis=-1, keepdims=True)

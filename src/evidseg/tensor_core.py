@@ -23,9 +23,9 @@ consumer has run. Work that only a backward reads, relu's mask and
 maxpool's argmax, is done in the backward.
 
 Layout is row-major, matching the volume file format. `Graph` is the
-float64 function the checker in `gradcheck` differentiates; it and
-`track_patterns` stay in this module because perfbench's traced run wraps
-`tc.Graph` in place.
+float64 function the checker in `gradcheck` differentiates, and the only
+forward that records kink patterns; it stays in this module because
+perfbench's traced run wraps `tc.Graph` in place.
 """
 
 from __future__ import annotations
@@ -70,18 +70,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-# a list while tracking is on, else None: relu and maxpool append a hash of
-# their activation pattern, and the finite-difference checker skips elements
-# whose patterns differ between evaluations, since there a central
-# difference straddles a kink and is not a derivative
+# a list while `Graph.forward_eval` runs its build, else None: relu and
+# maxpool append a hash of their activation pattern, and the evaluation
+# keeps them on `Graph.patterns`
 _PATTERNS = None
-
-
-def track_patterns(enable: bool):
-    """Start (with an empty list, which is returned) or stop tracking."""
-    global _PATTERNS
-    _PATTERNS = [] if enable else None
-    return _PATTERNS
 
 
 def as_tensor(x, dtype=None):
@@ -406,7 +398,7 @@ def maxpool3d(x: Tensor):
     of the first-wins gather at `_window_argmax`, NaN included, except
     that a tie of -0.0 and +0.0 may come out with either sign (relu
     outputs hold no -0.0). The argmax itself is computed only for the
-    pattern hash, while tracking, and in the backward.
+    pattern hash, inside `Graph.forward_eval`, and in the backward.
     """
     n, c, sx, sy, sz = x.shape
     if sx % 2 or sy % 2 or sz % 2:
@@ -450,21 +442,31 @@ class Graph:
 
     `build(leaves, inputs)` receives dicts of Tensors and must return a
     scalar Tensor. Leaves are trainable; inputs are constants.
+
+    `patterns` holds the kink patterns of the last `forward_eval`: one
+    hash per relu and max-pool its build ran, in order.
     """
 
     def __init__(self, build, leaves: dict):
         self.build = build
         self.leaves = {k: np.asarray(v, dtype=np.float64)
                        for k, v in leaves.items()}
+        self.patterns = ()
         self._output = None
         self._leaf_tensors = None
 
     def forward_eval(self, inputs: dict | None = None) -> float:
+        global _PATTERNS
         self._leaf_tensors = {k: Tensor(v, requires_grad=True)
                               for k, v in self.leaves.items()}
         in_tensors = {k: Tensor(np.asarray(v, dtype=np.float64))
                       for k, v in (inputs or {}).items()}
-        out = self.build(self._leaf_tensors, in_tensors)
+        _PATTERNS = []
+        try:
+            out = self.build(self._leaf_tensors, in_tensors)
+        finally:
+            self.patterns = tuple(_PATTERNS)
+            _PATTERNS = None
         if out.data.size != 1:
             raise TensorError("graph output must be scalar")
         if not np.isfinite(out.data):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evidseg.evidential_head import (BACKGROUND, CODE_BACKGROUND, CODE_IGNORANCE,
@@ -266,6 +266,28 @@ class TestDempsterFuse:
         m = random_simple_bba(rng)
         np.testing.assert_allclose(fuse_mass_arrays(m[None, None]), m[None],
                                    atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                              st.floats(0.0, 0.5, exclude_max=True)),
+                    min_size=1, max_size=20))
+    @example([(0.26, np.nextafter(0.5, 0.0)), (0.8, np.nextafter(0.5, 0.0))])
+    def test_background_leaning_prototypes_keep_betp_at_most_half(self,
+                                                                  protos):
+        # I simple BBAs (alpha s u, alpha s (1 - u), 1 - alpha s), u < 1/2:
+        # every factor m_i({a}) + m_i(Omega) is at most m_i({b}) + m_i(Omega),
+        # so fusion keeps m({a}) <= m({b}), and BetP = 1/2 + (m({a}) -
+        # m({b}))/2 <= 1/2: soft Dice against any mask is then at most 2/3
+        alpha_s, u = np.array(protos).T
+        bbas = np.stack([alpha_s * u, alpha_s * (1.0 - u), 1.0 - alpha_s],
+                        axis=-1)
+        fused = fuse_mass_arrays(bbas[None])
+        assert fused[0, LESION] <= fused[0, BACKGROUND]
+        # the fused masses may sum to one ulp over 1; with u within two ulps
+        # of 1/2 that puts BetP one ulp over 1/2, at a tie within rounding
+        assert pignistic_lesion(fused)[0] <= 0.5 + 2.0 ** -53
+        near_tie = fused[0, BACKGROUND] - fused[0, LESION] <= 2.0 ** -52
+        assert decide(fused)[0][0] == 0.0 or near_tie
 
 
 class TestEsForward:

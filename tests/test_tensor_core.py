@@ -10,7 +10,7 @@ import pytest
 from evidseg import objectives as obj
 from evidseg import tensor_core as tc
 from evidseg.backbone_unet import FULL_CHANNELS, BackboneConfig
-from evidseg.gradcheck import CASES, STEP, finite_difference_check
+from evidseg.gradcheck import CASES, STEP, finite_difference_check, run_suite
 from evidseg.tensor_core import (Graph, Tensor, TensorError, concat, conv3d,
                                  maxpool3d, upsample_nearest3d)
 from evidseg.trainer import HEADS, Model, TrainConfig
@@ -531,6 +531,54 @@ class TestFiniteDifferenceCheck:
                       {"x": np.array([1.0, 2.0, 3.0])})
         report = finite_difference_check(g, "x")
         assert not report.passed
+
+
+class TestKinkPatterns:
+    def test_each_relu_and_maxpool_leaves_one_entry(self):
+        def build(lv, iv):
+            h = maxpool3d(lv["x"].relu())
+            return (h.relu() * h).sum()
+
+        g, _ = scalar_graph(build, {"x": np.linspace(-1, 1, 8).reshape(
+            1, 1, 2, 2, 2)})
+        assert len(g.patterns) == 3
+        assert tc._PATTERNS is None
+
+    def test_raising_build_stops_recording(self):
+        def build(lv, iv):
+            lv["x"].relu()
+            raise RuntimeError("build failed")
+
+        g = Graph(build, {"x": np.ones(3)})
+        with pytest.raises(RuntimeError, match="build failed"):
+            g.forward_eval()
+        assert tc._PATTERNS is None
+        assert len(g.patterns) == 1
+
+
+# (checked, skipped_at_kink) of each case at seed 0, one instance per case
+SUITE_COUNTS = {
+    "affine": (15, 0), "elementwise_exp_log_square": (12, 0),
+    "squashing": (21, 0), "products": (29, 0), "sums_reductions": (60, 0),
+    "rectifier": (24, 0), "conv3d": (293, 0), "maxpool": (128, 0),
+    "upsample": (54, 0), "concat": (40, 0),
+    "distance_activation": (58, 0), "bba": (52, 0), "dempster_fuse": (52, 0),
+    "es_forward": (220, 0), "dice_loss_pignistic": (220, 0),
+    "dice_loss_singleton": (220, 0), "uncertainty_loss": (220, 0),
+    "total_loss": (220, 0), "backbone_tiny": (126, 178),
+    "total_loss_through_backbone": (234, 88),
+}
+
+
+def test_suite_counts_pinned_case_by_case():
+    # a case whose random draws or kink skips moved shows here by name
+    results = run_suite(instances=1, seed=0)
+    assert [r.name for r in results] == list(SUITE_COUNTS)
+    for r in results:
+        assert r.passed, r.name
+        counts = (sum(x.checked for x in r.reports),
+                  sum(x.skipped_at_kink for x in r.reports))
+        assert counts == SUITE_COUNTS[r.name], r.name
 
 
 def recorded_ops(monkeypatch, run):
