@@ -207,18 +207,22 @@ def es_forward(features: Tensor, params) -> Tensor:
 # -- decision layer --------------------------------------------------------
 
 def pignistic_lesion(masses: np.ndarray) -> np.ndarray:
-    """p(lesion) = m({a}) + m(Omega)/2 for mass arrays (..., 3)."""
-    return masses[..., LESION] + 0.5 * masses[..., IGNORANCE]
+    """p(lesion) = m({a}) + m(Omega)/2 for mass arrays (..., 3), computed as
+    1/2 + (m({a}) - m({b}))/2: equal on normalized masses, and at most 1/2
+    wherever m({a}) <= m({b}), also where fused masses sum to an ulp over
+    1 and the first form lands an ulp over 1/2."""
+    return 0.5 + 0.5 * (masses[..., LESION] - masses[..., BACKGROUND])
 
 
 def decide(masses: np.ndarray):
     """Mass array (..., 3) -> (binary, three-way, uncertainty) maps.
 
-    Binary: lesion iff pignistic probability strictly exceeds 0.5 (ties go
-    to background). Three-way: argmax over the three masses, coded
+    Binary: lesion iff the pignistic probability strictly exceeds 0.5,
+    that is iff m({a}) > m({b}), the comparison made; ties go to
+    background. Three-way: argmax over the three masses, coded
     0=background, 1=lesion, 2=ignorance. Uncertainty: raw m(Omega).
     """
-    binary = (pignistic_lesion(masses) > 0.5).astype(np.float32)
+    binary = (masses[..., LESION] > masses[..., BACKGROUND]).astype(np.float32)
     winner = np.argmax(masses, axis=-1)  # first max wins on ties
     code = np.array([CODE_LESION, CODE_BACKGROUND, CODE_IGNORANCE],
                     dtype=np.float32)

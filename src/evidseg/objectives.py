@@ -63,7 +63,12 @@ def total_loss(mass_map: Tensor, g: np.ndarray, alpha_logits,
 
 
 def lesion_map(mass_map: Tensor, mode: str = "pignistic") -> Tensor:
-    """Soft lesion probability S from a (N, 3, X, Y, Z) mass tensor."""
+    """Soft lesion probability S from a (N, 3, X, Y, Z) mass tensor.
+
+    The pignistic mode is m({a}) + m(Omega)/2. On normalized masses that
+    equals `evidential_head.pignistic_lesion`'s 1/2 + (m({a}) - m({b}))/2;
+    the two differ only by the rounding of the mass sum.
+    """
     if mode not in DICE_MODES:
         raise ValueError(f"unknown dice mode {mode!r}")
     m_a = mass_map[:, LESION]

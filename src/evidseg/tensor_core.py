@@ -20,7 +20,13 @@ A node keeps its parents and its backward only when a parent requires a
 gradient. A no-grad node keeps no parents, so a forward on constants
 (inference) builds no tape: each activation is freed once its last
 consumer has run. Work that only a backward reads, relu's mask and
-maxpool's argmax, is done in the backward.
+maxpool's first maxima, is done in the backward.
+
+`Tensor.backward` consumes the tape: once a node's backward has run, the
+node drops its parents and its closure, so every activation and
+intermediate gradient the caller does not hold is freed as soon as the
+backward has passed it. A node the caller holds keeps its `data` and
+`grad`. A fresh gradient array becomes its parent's `grad` uncopied.
 
 Layout is row-major, matching the volume file format. `Graph` is the
 float64 function the checker in `gradcheck` differentiates, and the only
@@ -228,6 +234,10 @@ class Tensor:
     # -- backward pass -----------------------------------------------------
 
     def backward(self):
+        """Accumulate d(self)/d(node) into the `grad` of every node on the
+        tape that requires it, and consume the tape: afterwards no node
+        keeps parents or a backward, and only what the caller holds is
+        left. A second call reaches no node but `self`."""
         if self.data.size != 1:
             raise TensorError("backward requires a scalar output")
         topo, seen = [], set()
@@ -245,21 +255,37 @@ class Tensor:
                 if p.requires_grad:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is None:
-                continue
-            grads = node._backward(node.grad)
-            for p, g in zip(node._prev, grads):
-                if not p.requires_grad or g is None:
-                    continue
-                if p.grad is None:
-                    # a copy, never g itself: add hands one g to both
-                    # parents, and sum hands back a read-only broadcast view
-                    p.grad = np.empty_like(p.data)
-                    np.copyto(p.grad, g)
-                else:
-                    p.grad += g
-            node._backward = None  # free closures once consumed
+        while topo:
+            node = topo.pop()
+            if node._backward is not None:
+                _send_grads(node)
+            # consumed: unless the caller holds the node, it goes now
+            node._prev, node._backward = (), None
+
+
+def _send_grads(node):
+    """Run `node`'s backward and add each gradient into its parent's grad.
+
+    A parent's first gradient is the returned array itself when nothing
+    else can see it: an array of its own, writeable, C-contiguous, of the
+    parent's dtype and shape, not `node.grad` and sent to no other parent.
+    Anything else is copied: add hands `g` to both parents, reshape and
+    concat hand back views of it, and sum a read-only broadcast.
+    """
+    grads = node._backward(node.grad)
+    for p, g in zip(node._prev, grads):
+        if not p.requires_grad or g is None:
+            continue
+        if p.grad is not None:
+            p.grad += g
+        elif (isinstance(g, np.ndarray) and g.flags.owndata
+              and g.flags.writeable and g.flags.c_contiguous
+              and g.dtype == p.data.dtype and g.shape == p.data.shape
+              and g is not node.grad and sum(h is g for h in grads) == 1):
+            p.grad = g
+        else:
+            p.grad = np.empty_like(p.data)
+            np.copyto(p.grad, g)
 
 
 def concat(tensors, axis):
@@ -398,7 +424,9 @@ def maxpool3d(x: Tensor):
     of the first-wins gather at `_window_argmax`, NaN included, except
     that a tie of -0.0 and +0.0 may come out with either sign (relu
     outputs hold no -0.0). The argmax itself is computed only for the
-    pattern hash, inside `Graph.forward_eval`, and in the backward.
+    pattern hash, inside `Graph.forward_eval`. The backward routes each
+    window's gradient to the same first maximum, found by comparing the
+    window's 8 entries with the pooled value in (dx, dy, dz) order.
     """
     n, c, sx, sy, sz = x.shape
     if sx % 2 or sy % 2 or sz % 2:
@@ -411,12 +439,20 @@ def maxpool3d(x: Tensor):
         _PATTERNS.append(hash(_window_argmax(x.data).tobytes()))
 
     def backward(g):
-        idx = _window_argmax(x.data)
-        gv = np.zeros((n, c, sx // 2, sy // 2, sz // 2, 8), dtype=g.dtype)
-        np.put_along_axis(gv, idx[..., None], g[..., None], axis=-1)
-        gv = gv.reshape(n, c, sx // 2, sy // 2, sz // 2, 2, 2, 2)
-        gv = gv.transpose(0, 1, 2, 5, 3, 6, 4, 7)
-        return (gv.reshape(n, c, sx, sy, sz),)
+        gx = np.zeros(x.shape, dtype=g.dtype)
+        free = np.ones(out_data.shape, dtype=bool)  # no maximum found yet
+        hit = np.empty(out_data.shape, dtype=bool)
+        # a window holding NaN pools to NaN, and its first NaN wins
+        nan = np.isnan(out_data).any()
+        for dx, dy, dz in np.ndindex(2, 2, 2):
+            xs = x.data[:, :, dx::2, dy::2, dz::2]
+            np.equal(xs, out_data, out=hit)
+            if nan:
+                hit |= np.isnan(xs)
+            hit &= free
+            np.copyto(gx[:, :, dx::2, dy::2, dz::2], g, where=hit)
+            free ^= hit
+        return (gx,)
 
     return Tensor._make(out_data, "maxpool3d", (x,), backward)
 

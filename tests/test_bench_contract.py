@@ -9,6 +9,7 @@ these tests make it fail here.
 import numpy as np
 import pytest
 
+from evidseg import objectives as obj
 from evidseg.backbone_unet import BackboneConfig
 from evidseg.trainer import Model, TrainConfig
 from perfbench import tracing
@@ -33,3 +34,26 @@ def test_head_call_is_traced(head, span):
     with tracing.instrument(tracer, "train-es"):
         model.forward(x, trainable=True)
     assert span in {s[tracing.NAME] for s in tracer.spans}
+
+
+@pytest.mark.parametrize("head,path,nodes", [
+    ("evidential", "train-es", 61),
+    ("softmax", "train-softmax", 59),
+])
+def test_traced_desk_step_counts_its_tape_before_the_backward(head, path,
+                                                              nodes):
+    # the backward consumes its tape, so the count perfbench takes as the
+    # backward starts is the only one that sees it whole
+    model = Model.create(BackboneConfig(), head, TrainConfig(), seed=0)
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((2, 2, 32, 32, 32)).astype(np.float32)
+    g = (rng.random((2, 32, 32, 32)) < 0.1).astype(np.float32)
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer, path):
+        out, leaves = model.forward(x, trainable=True)
+        total, _ = obj.total_loss(out, g, leaves.get("es.alpha_logits"))
+        total.backward()
+    assert tracer.counts[(path, "tensor_core.tape_nodes")] == nodes
+    if head == "evidential":
+        assert tracer.counts[(path, "evidential_head.tape_nodes")] == 5
+    assert tracing.tape_size(total) == 0

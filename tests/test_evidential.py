@@ -283,11 +283,25 @@ class TestDempsterFuse:
                         axis=-1)
         fused = fuse_mass_arrays(bbas[None])
         assert fused[0, LESION] <= fused[0, BACKGROUND]
-        # the fused masses may sum to one ulp over 1; with u within two ulps
-        # of 1/2 that puts BetP one ulp over 1/2, at a tie within rounding
-        assert pignistic_lesion(fused)[0] <= 0.5 + 2.0 ** -53
-        near_tie = fused[0, BACKGROUND] - fused[0, LESION] <= 2.0 ** -52
-        assert decide(fused)[0][0] == 0.0 or near_tie
+        assert pignistic_lesion(fused)[0] <= 0.5
+        assert decide(fused)[0][0] == 0.0
+
+    def test_tie_whose_masses_sum_over_one_is_background(self):
+        # every u the largest double below 1/2: fusion rounds m({a}) and
+        # m({b}) to the same value while the masses sum to 1 + 2^-52, which
+        # puts m({a}) + m(Omega)/2 one ulp over 1/2
+        alpha_s = np.array([0.9915454694976327, 0.5320054580970641,
+                            0.0025835635887759834, 0.6014039333823012,
+                            0.7558637036604008, 0.18135179414467484])
+        u = 0.5 - 2.0 ** -54
+        bbas = np.stack([alpha_s * u, alpha_s * (1.0 - u), 1.0 - alpha_s],
+                        axis=-1)
+        fused = fuse_mass_arrays(bbas[None])[0]
+        assert fused[LESION] == fused[BACKGROUND] == 0.49946185625946826
+        assert fused.sum() == 1.0 + 2.0 ** -52
+        assert fused[LESION] + 0.5 * fused[IGNORANCE] > 0.5
+        assert pignistic_lesion(fused) == 0.5
+        assert decide(fused)[0] == 0.0
 
 
 class TestEsForward:
