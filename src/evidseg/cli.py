@@ -1,5 +1,6 @@
 """Command-line pipeline: phantom generation, training, prediction,
-evaluation and gradient checking.
+evaluation, gradient checking, and `reproduce`, the one definition of the
+reference experiment that chains the others.
 
 Exit codes: 0 success, 1 validation/config error, 2 numerical failure.
 """
@@ -71,8 +72,10 @@ def cmd_train(args):
                             train_cfg, train_cfg.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    log_path = out / "train_log.jsonl"
-    log_file = open(log_path, "w")
+    log_file = open(out / "train_log.jsonl", "w")
+    # a checkpoint beside the new log would pass for this run's if it fails
+    ckpt_path = out / "checkpoint.evckpt"
+    ckpt_path.unlink(missing_ok=True)
 
     def log_fn(record):
         log_file.write(json.dumps(record) + "\n")
@@ -90,7 +93,6 @@ def cmd_train(args):
     finally:
         log_file.close()
     model.params = best_params
-    ckpt_path = out / "checkpoint.evckpt"
     tr.save_checkpoint(ckpt_path, model, train_cfg, best_epoch)
     print(f"best checkpoint (epoch {best_epoch}) -> {ckpt_path}")
 
@@ -166,6 +168,54 @@ def cmd_gradcheck(args):
           f"{sum(rep.skipped_at_kink for rep in reports):,} kink skips")
 
 
+# -- reproduce -------------------------------------------------------------
+
+SEEDS = (0, 1, 2)  # training seeds of the reference experiment, per head
+
+
+def reproduce(out, cases=200, epochs=None):
+    """Run the reference experiment into `out`.
+
+    `out/data` gets `cases` phantoms at 32^3 (seed 0, 1-3 lesions, 80/10/10
+    split). After one gradient-check gate, every head in `trainer.HEADS`
+    trains from every seed in `SEEDS` with the reference config into
+    `out/{head}_s{seed}`, and `eval` scores its best checkpoint on the test
+    split into `.../eval`. `epochs` overrides the reference epoch count;
+    it and `cases` exist so that a test can run the protocol at tiny scale.
+    """
+    out = Path(out)
+    if out.exists() and any(out.iterdir()):
+        raise CliError(f"{out} exists and is not empty")
+    failures = gc.run_gate()
+    if failures:
+        raise CliError("gradient-check gate failed: " + ", ".join(failures),
+                       code=EXIT_NUMERIC)
+    data = str(out / "data")
+    _run(["phantom", "--out", data, "--count", str(cases),
+          "--dims", "32,32,32", "--seed", "0", "--lesions", "1", "3",
+          "--ratios", "0.8", "0.1", "0.1"])
+    for head in tr.HEADS:
+        for seed in SEEDS:
+            run = out / f"{head}_s{seed}"
+            run.mkdir()
+            train = {"seed": seed}
+            if epochs is not None:
+                train["epochs"] = epochs
+            config = run / "config.json"
+            config.write_text(json.dumps({"es": {"head": head},
+                                          "train": train}))
+            _run(["train", "--config", str(config), "--data", data,
+                  "--out", str(run), "--skip-gradcheck"])
+            _run(["eval", "--ckpt", str(run / "checkpoint.evckpt"),
+                  "--data", data, "--split", "test",
+                  "--out", str(run / "eval")])
+
+
+def _run(argv):
+    args = build_parser().parse_args(argv)
+    args.fn(args)
+
+
 # -- argument parsing ------------------------------------------------------
 
 def _parse_dims(text):
@@ -222,6 +272,12 @@ def build_parser():
     p.add_argument("--inject-fault", default=None, metavar="OP",
                    help="corrupt one gradient of OP to prove the check bites")
     p.set_defaults(fn=cmd_gradcheck)
+
+    p = sub.add_parser("reproduce",
+                       help="run the reference experiment: data, six "
+                            "trainings and their evals")
+    p.add_argument("--out", required=True)
+    p.set_defaults(fn=lambda args: reproduce(args.out))
     return parser
 
 

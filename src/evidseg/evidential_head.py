@@ -219,13 +219,17 @@ def decide(masses: np.ndarray):
 
     Binary: lesion iff the pignistic probability strictly exceeds 0.5,
     that is iff m({a}) > m({b}), the comparison made; ties go to
-    background. Three-way: argmax over the three masses, coded
-    0=background, 1=lesion, 2=ignorance. Uncertainty: raw m(Omega).
+    background. Three-way, coded 0=background, 1=lesion, 2=ignorance: the
+    largest of the three masses, where a tie of m({a}) and m({b}) goes to
+    background as in the binary map, and ignorance wins only when it
+    exceeds both singletons. Uncertainty: raw m(Omega).
     """
-    binary = (masses[..., LESION] > masses[..., BACKGROUND]).astype(np.float32)
-    winner = np.argmax(masses, axis=-1)  # first max wins on ties
-    code = np.array([CODE_LESION, CODE_BACKGROUND, CODE_IGNORANCE],
-                    dtype=np.float32)
-    three_way = code[winner]
+    lesion = masses[..., LESION] > masses[..., BACKGROUND]
+    binary = lesion.astype(np.float32)
+    ignorance = masses[..., IGNORANCE] > np.maximum(masses[..., LESION],
+                                                    masses[..., BACKGROUND])
+    three_way = np.where(ignorance, CODE_IGNORANCE,
+                         np.where(lesion, CODE_LESION, CODE_BACKGROUND)
+                         ).astype(np.float32)
     uncertainty = masses[..., IGNORANCE].astype(np.float32)
     return binary, three_way, uncertainty

@@ -1,15 +1,21 @@
 """Run configuration parsing and the command-line pipeline end to end."""
 
 import json
+import re
+import shlex
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from evidseg import gradcheck as gc
 from evidseg.backbone_unet import BackboneConfig
-from evidseg.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+from evidseg.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, SEEDS,
+                         build_parser, main, reproduce)
 from evidseg.config import SECTIONS, ConfigError, RunConfig
-from evidseg.trainer import TrainConfig, load_checkpoint, save_checkpoint
+from evidseg.trainer import (HEADS, TrainConfig, load_checkpoint,
+                             save_checkpoint)
 from evidseg.volume_io import (generate_phantom, read_dataset, read_volume,
                                write_case, write_volume)
 from helpers import rewrite_header
@@ -201,6 +207,29 @@ class TestTrainCommand:
         assert code == EXIT_NUMERIC
         assert "non-finite gradient" in capsys.readouterr().err
 
+    def test_failed_rerun_leaves_no_stale_checkpoint(self, dataset, tiny_run,
+                                                     tmp_path):
+        # 32^3 patches do not fit the 16^3 cases, which fails training after
+        # the log is opened
+        run = tmp_path / "model"
+        shutil.copytree(tiny_run / "model", run)
+        assert (run / "checkpoint.evckpt").exists()
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"train": {"epochs": 1}}))
+        code = main(["train", "--config", str(config), "--data",
+                     str(dataset), "--out", str(run), "--skip-gradcheck"])
+        assert code == EXIT_CONFIG
+        assert (run / "train_log.jsonl").read_text() == ""
+        assert not (run / "checkpoint.evckpt").exists()
+
+    def test_gate_runs_unless_skipped(self, dataset, tiny_run, tmp_path,
+                                      monkeypatch, capsys):
+        monkeypatch.setattr(gc, "run_gate", lambda: ["bba"])
+        code = main(["train", "--config", str(tiny_run / "config.json"),
+                     "--data", str(dataset), "--out", str(tmp_path / "m")])
+        assert code == EXIT_NUMERIC
+        assert "gradient-check gate failed: bba" in capsys.readouterr().err
+
     def test_rerun_same_seed_identical_log(self, dataset, tiny_run,
                                            tmp_path):
         config = tmp_path / "config.json"
@@ -324,3 +353,71 @@ class TestGradcheckCommand:
         assert code == EXIT_NUMERIC
         out = capsys.readouterr().out
         assert "FAIL  conv3d" in out
+
+
+class TestReproduceCommand:
+    def test_tiny_scale_protocol(self, tmp_path, monkeypatch):
+        gate_calls = []
+        run_gate = gc.run_gate
+
+        def spy():
+            gate_calls.append(1)
+            return run_gate()
+
+        monkeypatch.setattr(gc, "run_gate", spy)
+        out = tmp_path / "exp"
+        reproduce(out, cases=10, epochs=1)
+        assert len(gate_calls) == 1
+        _, splits = read_dataset(out / "data")
+        assert (len(splits["train"]), len(splits["val"]),
+                len(splits["test"])) == (8, 1, 1)
+        runs = [(head, seed) for head in HEADS for seed in SEEDS]
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            ["data"] + [f"{head}_s{seed}" for head, seed in runs])
+        for head, seed in runs:
+            run = out / f"{head}_s{seed}"
+            assert json.loads((run / "config.json").read_text()) == {
+                "es": {"head": head}, "train": {"seed": seed, "epochs": 1}}
+            log = (run / "train_log.jsonl").read_text().splitlines()
+            assert [json.loads(line)["epoch"] for line in log] == [1]
+            model, train_cfg, _ = load_checkpoint(run / "checkpoint.evckpt")
+            assert (model.head, train_cfg.seed) == (head, seed)
+            report = json.loads((run / "eval" / "report.json").read_text())
+            assert len(report["per_patient"]) == 1
+
+    def test_failed_gate_exit_code(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(gc, "run_gate", lambda: ["dempster_fuse"])
+        out = tmp_path / "exp"
+        assert main(["reproduce", "--out", str(out)]) == EXIT_NUMERIC
+        assert "dempster_fuse" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_refuses_nonempty_out_dir(self, dataset, monkeypatch):
+        def gate():
+            raise AssertionError("gradient-check gate ran")
+
+        monkeypatch.setattr(gc, "run_gate", gate)
+        assert main(["reproduce", "--out", str(dataset)]) == EXIT_CONFIG
+
+    def test_takes_only_out(self, tmp_path):
+        with pytest.raises(SystemExit) as e:
+            main(["reproduce", "--out", str(tmp_path), "--count", "10"])
+        assert e.value.code == 2
+
+
+def test_readme_commands_parse():
+    # every `evidseg ...` line in the README's fenced blocks, in either the
+    # installed or the plain-checkout form, names flags the parser accepts
+    readme = (Path(__file__).resolve().parent.parent
+              / "README.md").read_text()
+    commands = set()
+    for block in re.findall(r"^```[^\n]*\n(.*?)^```", readme,
+                            flags=re.M | re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            words = shlex.split(line) if "evidseg" in line else []
+            for program in ("evidseg", "evidseg.cli"):
+                if program in words:
+                    argv = words[words.index(program) + 1:]
+                    commands.add(build_parser().parse_args(argv).command)
+    assert commands == {"phantom", "train", "predict", "eval", "gradcheck",
+                        "reproduce"}

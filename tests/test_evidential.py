@@ -301,7 +301,9 @@ class TestDempsterFuse:
         assert fused.sum() == 1.0 + 2.0 ** -52
         assert fused[LESION] + 0.5 * fused[IGNORANCE] > 0.5
         assert pignistic_lesion(fused) == 0.5
-        assert decide(fused)[0] == 0.0
+        binary, three_way, _ = decide(fused)
+        assert binary == 0.0
+        assert three_way == CODE_BACKGROUND
 
 
 class TestEsForward:
@@ -452,6 +454,17 @@ class TestDecide:
         assert binary == 0.0
         assert three_way == CODE_IGNORANCE
         assert unc == pytest.approx(0.6)
+
+    def test_three_way_ties(self):
+        # a lesion/background tie is background, as in the binary map; a
+        # singleton tied with ignorance keeps the singleton
+        masses = np.array([[0.4, 0.4, 0.2], [0.4, 0.2, 0.4], [0.2, 0.4, 0.4],
+                           [1 / 3, 1 / 3, 1 / 3]])
+        binary, three_way, _ = decide(masses)
+        np.testing.assert_array_equal(binary, [0.0, 1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(
+            three_way, [CODE_BACKGROUND, CODE_LESION, CODE_BACKGROUND,
+                        CODE_BACKGROUND])
 
     def test_pignistic_values(self):
         masses = np.array([[0.4, 0.4, 0.2], [0.1, 0.3, 0.6]])
