@@ -9,8 +9,9 @@ Constrained quantities are reparameterized so optimization stays
 unconstrained: class memberships via exponential normalization of free
 logits (`memberships`), evidence strengths alpha via logistic squashing
 (`strengths`), scales gamma as squared roots. The free parameters live
-only in the model's parameter dict, under the four `es.*` names; `bba` and
-the trainer's constraint check both map them through these functions.
+only in the model's parameter dict, under the four `es.*` names; the head
+ops and the trainer's constraint check all map them through these
+functions.
 
 `es_forward` runs three stages in the backbone's channel-first layout,
 with the V = X*Y*Z voxels of each of the N batch items flattened last,
@@ -18,14 +19,18 @@ each stage one tape node with a hand-derived backward:
 
 - `distance_activation(features (N, C, V), prototypes, gamma_roots)`
   -> s (N, I, V)
-- `bba(s, membership_logits, alpha_logits)` -> masses (N, 3, I, V),
+- `bba(s, alpha_logits)` -> evidence a = alpha s (N, I, V)
+- `dempster_fuse(evidence, membership_logits)` -> fused masses (N, 3, V),
   ordered (lesion, background, ignorance) on axis 1
-- `dempster_fuse(masses)` -> fused masses (N, 3, V), same order
 
-Every array is contiguous, so each running product over prototypes
-multiplies I contiguous V-vectors, and the mass map is a reshape of the
-fused masses. `fuse_mass_arrays` runs the same Dempster forward on plain
-arrays.
+Prototype i's simple mass function is a_i u_ik on each class {k} and
+1 - a_i on Omega. Only `dempster_fuse` reads the memberships u: it forms
+each prototype's factors inside its running products, in the forward and
+again in the backward, so no (N, 3, I, V) array of masses or of their
+gradients is ever built. Every array is contiguous, so a prototype's
+factors are contiguous V-vectors, and the mass map is a reshape of the
+fused masses. `fuse_mass_arrays` feeds general (..., I, 3) masses through
+the same Dempster forward.
 """
 
 from __future__ import annotations
@@ -92,62 +97,51 @@ def distance_activation(features: Tensor, prototypes, gamma_roots) -> Tensor:
     return Tensor._make(s, "distance_activation", (f, p, eta), backward)
 
 
-def bba(s: Tensor, membership_logits, alpha_logits) -> Tensor:
-    """Per-prototype mass functions from activations s (N, I, V).
+def bba(s: Tensor, alpha_logits) -> Tensor:
+    """Evidence a_i = alpha_i s_i of each prototype from activations s
+    (N, I, V); returns (N, I, V).
 
-    Returns (N, 3, I, V) masses ordered (lesion, background, ignorance);
-    the three masses of each prototype sum to 1 by construction.
+    With the memberships u, a fixes prototype i's simple mass function:
+    a_i u_ik on each class {k} and 1 - a_i on Omega. `dempster_fuse` forms
+    those masses one prototype at a time.
     """
-    s, v, a = map(as_tensor, (s, membership_logits, alpha_logits))
-    u = memberships(v.data)                 # (I, K)
+    s, a = map(as_tensor, (s, alpha_logits))
     alpha = strengths(a.data)               # (I,), below 1
     sd = s.data                             # (N, I, V)
-    planes = np.empty((len(sd), K + 1) + sd.shape[1:],
-                      dtype=np.result_type(sd, alpha, u))
-    alpha_s = np.multiply(sd, alpha[:, None], out=planes[:, K])
-    np.multiply(alpha_s[:, None], u.T[:, :, None], out=planes[:, :K])
-    np.subtract(1.0, alpha_s, out=planes[:, K])
+    evidence = sd * alpha[:, None]
 
     def backward(g):
-        gs = gv = ga = None
-        if v.requires_grad:
-            g_u = np.einsum("nkiv,niv->ik", g[:, :K], sd) * alpha[:, None]
-            gv = u * (g_u - (g_u * u).sum(axis=1, keepdims=True))
-        # dL/d(alpha_i s_i): the singletons carry u_ik, ignorance -1
-        g_as = -g[:, K]
-        for k in range(K):
-            g_as += g[:, k] * u[:, k, None]
+        ga = gs = None
         if a.requires_grad:
-            ga = np.einsum("niv,niv->i", g_as, sd) * alpha * (1.0 - alpha)
+            ga = np.einsum("niv,niv->i", g, sd) * alpha * (1.0 - alpha)
         if s.requires_grad:
-            g_as *= alpha[:, None]
-            gs = g_as
-        return gs, gv, ga
+            gs = g * alpha[:, None]
+        return gs, ga
 
-    return Tensor._make(planes, "bba", (s, v, a), backward)
+    return Tensor._make(evidence, "bba", (s, a), backward)
 
 
-def _dempster(planes: np.ndarray):
-    """Closed-form Dempster fusion of (N, 3, I, V) mass planes.
+def _dempster(factors, count):
+    """Closed-form Dempster fusion of `count` simple mass functions.
 
-    The unnormalized singleton mass of class k is
+    `factors(i)` returns the i-th mass function's factors as fresh
+    arrays: m_i({k}) + m_i(Omega) for each class, (N, K, V), and
+    m_i(Omega), (N, 1, V). The unnormalized singleton mass of class k is
     prod_i(m_i({k}) + m_i(Omega)) - prod_i m_i(Omega), the unnormalized
-    ignorance mass is prod_i m_i(Omega). Both are running products over
-    the I planes. Every factor lies in [epsneg, 1], because `bba` keeps
-    m_i(Omega) >= epsneg (alpha held below 1, s <= 1): a partial product
-    is never below the final one, so none underflows before the final
-    product does, and the divisions by factors in `dempster_fuse`'s
-    backward stay finite.
+    ignorance mass is prod_i m_i(Omega). Both are running products, one
+    mass function at a time. Every factor lies in [epsneg, 1], because
+    `strengths` and `distance_activation` keep m_i(Omega) = 1 - alpha_i s_i
+    >= epsneg: a partial product is never below the final one, so none
+    underflows before the final product does, and the divisions by factors
+    in `dempster_fuse`'s backward stay finite.
     Returns (fused (N, 3, V), w (N, K, V) singleton products,
     o (N, 1, V) ignorance product, norm (N, 1, V)).
     """
-    omega = planes[:, K:]                    # (N, 1, I, V)
-    w = planes[:, :K, 0] + omega[:, :, 0]    # (N, K, V)
-    o = omega[:, :, 0].copy()                # (N, 1, V)
-    factor = np.empty_like(w)
-    for i in range(1, planes.shape[2]):
-        w *= np.add(planes[:, :K, i], omega[:, :, i], out=factor)
-        o *= omega[:, :, i]
+    w, o = factors(0)
+    for i in range(1, count):
+        factor, omega = factors(i)
+        w *= factor
+        o *= omega
     fused = np.concatenate([w - o, o], axis=1)
     norm = fused[:, :K].sum(axis=1, keepdims=True) + o
     # total conflict: all mass on the empty set, to within rounding. A
@@ -159,35 +153,61 @@ def _dempster(planes: np.ndarray):
     return fused, w, o, norm
 
 
-def dempster_fuse(masses: Tensor) -> Tensor:
-    """Normalized Dempster combination of I simple BBAs per voxel.
+def dempster_fuse(evidence: Tensor, membership_logits) -> Tensor:
+    """Normalized Dempster combination of I simple mass functions per voxel.
 
-    Takes the (N, 3, I, V) output of `bba`; returns (N, 3, V) masses
-    ordered (lesion, background, ignorance).
+    Takes the (N, I, V) evidence of `bba` and the (I, K) membership
+    logits; prototype i's masses are a_i u_ik on {k} and 1 - a_i on Omega.
+    Returns (N, 3, V) masses ordered (lesion, background, ignorance). The
+    forward and the backward form each prototype's factors in turn, so no
+    (N, 3, I, V) array of masses or of their gradients exists.
     """
-    planes = masses.data
-    fused, w, o, norm = _dempster(planes)
+    e, v = map(as_tensor, (evidence, membership_logits))
+    ed = e.data                             # (N, I, V)
+    u = memberships(v.data)                 # (I, K)
+
+    def factors(i):
+        omega = 1.0 - ed[:, i, None]        # (N, 1, V)
+        factor = ed[:, i, None] * u[i, :, None]
+        factor += omega                     # a_i u_ik + (1 - a_i), (N, K, V)
+        return factor, omega
+
+    fused, w, o, norm = _dempster(factors, ed.shape[1])
 
     def backward(g):
         # through the normalization: out_j = v_j / norm
         g_v = (g - (g * fused).sum(axis=1, keepdims=True)) / norm
         g_o = g_v[:, K:] - g_v[:, :K].sum(axis=1, keepdims=True)
-        gp = np.empty(planes.shape, dtype=np.result_type(g_v, planes))
-        np.add(planes[:, :K], planes[:, K:], out=gp[:, :K])
-        np.divide((g_v[:, :K] * w)[:, :, None], gp[:, :K], out=gp[:, :K])
-        np.divide(g_o * o, planes[:, K], out=gp[:, K])
-        gp[:, K] += gp[:, :K].sum(axis=1)
-        return (gp,)
+        g_w = g_v[:, :K] * w                # (N, K, V)
+        g_o *= o                            # (N, 1, V)
+        ge = np.empty(ed.shape, dtype=np.result_type(g_v, ed, u))
+        g_u = np.empty(u.shape, dtype=ge.dtype)
+        for i in range(ed.shape[1]):
+            factor, omega = factors(i)
+            g_sing = np.divide(g_w, factor, out=factor)  # dL/dm_i({k})
+            g_omega = np.divide(g_o, omega, out=omega)
+            g_omega += g_sing.sum(axis=1, keepdims=True)  # dL/dm_i(Omega)
+            # dL/da_i: the singletons carry u_ik, ignorance -1
+            g_e = np.negative(g_omega[:, 0], out=ge[:, i])
+            for k in range(K):
+                g_e += g_sing[:, k] * u[i, k]
+            g_u[i] = np.einsum("nkv,nv->k", g_sing, ed[:, i])
+        return ge, u * (g_u - (g_u * u).sum(axis=1, keepdims=True))
 
-    return Tensor._make(fused, "dempster_fuse", (masses,), backward)
+    return Tensor._make(fused, "dempster_fuse", (e, v), backward)
 
 
 def fuse_mass_arrays(masses: np.ndarray) -> np.ndarray:
     """Closed-form fusion of plain arrays shaped (..., I, 3)."""
     m = np.asarray(masses, dtype=np.float64)
-    # each (I, 3) block as (3, I, V = 1) planes
-    planes = np.moveaxis(m.reshape(-1, *m.shape[-2:]), -1, 1)[..., None]
-    return _dempster(planes)[0].reshape(m.shape[:-2] + (K + 1,))
+    blocks = m.reshape(-1, *m.shape[-2:])[..., None]  # (B, I, 3, V = 1)
+
+    def factors(i):
+        omega = blocks[:, i, K:].copy()
+        return blocks[:, i, :K] + omega, omega
+
+    fused = _dempster(factors, m.shape[-2])[0]
+    return fused.reshape(m.shape[:-2] + (K + 1,))
 
 
 def es_forward(features: Tensor, params) -> Tensor:
@@ -199,8 +219,8 @@ def es_forward(features: Tensor, params) -> Tensor:
     n, c, *spatial = features.shape
     s = distance_activation(features.reshape(n, c, -1),
                             params["es.prototypes"], params["es.gamma_roots"])
-    masses = dempster_fuse(bba(s, params["es.membership_logits"],
-                               params["es.alpha_logits"]))  # (N, 3, V)
+    masses = dempster_fuse(bba(s, params["es.alpha_logits"]),
+                           params["es.membership_logits"])  # (N, 3, V)
     return masses.reshape(n, K + 1, *spatial)
 
 

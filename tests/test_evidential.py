@@ -101,19 +101,31 @@ class TestDistanceActivation:
         assert s.max() <= 1.0
 
 
+def prototype_masses(s, membership_logits, alpha_logits):
+    """Each prototype's simple mass function as the tape ops define it:
+    its evidence from `bba`, fused alone by `dempster_fuse`, which leaves
+    one mass function as it is. Returns (N, 3, I, V) masses."""
+    evidence = bba(Tensor(s), alpha_logits).data
+    return np.stack([dempster_fuse(Tensor(evidence[:, i:i + 1]),
+                                   membership_logits[i:i + 1]).data
+                     for i in range(evidence.shape[1])], axis=2)
+
+
 class TestBba:
     def test_zero_distance_half_alpha(self):
         # alpha 0.5, memberships (0.7, 0.3), feature on the prototype
-        masses = bba(Tensor(np.ones((1, 1, 1))), np.log([[0.7, 0.3]]),
-                     np.zeros(1)).data
+        s = np.ones((1, 1, 1))
+        np.testing.assert_allclose(bba(Tensor(s), np.zeros(1)).data, 0.5,
+                                   atol=1e-12)
+        masses = prototype_masses(s, np.log([[0.7, 0.3]]), np.zeros(1))
         m_sing, m_omega = masses[:, :K], masses[:, IGNORANCE]
         np.testing.assert_allclose(m_sing[0, :, 0, 0], [0.35, 0.15],
                                    atol=1e-12)
         np.testing.assert_allclose(m_omega[0, 0, 0], 0.5, atol=1e-12)
 
     def test_distant_feature_vacuous(self):
-        masses = bba(Tensor(np.zeros((1, 1, 1))), np.log([[0.7, 0.3]]),
-                     np.zeros(1)).data
+        masses = prototype_masses(np.zeros((1, 1, 1)), np.log([[0.7, 0.3]]),
+                                  np.zeros(1))
         m_sing, m_omega = masses[:, :K], masses[:, IGNORANCE]
         np.testing.assert_allclose(m_sing, 0.0, atol=1e-15)
         np.testing.assert_allclose(m_omega, 1.0, atol=1e-15)
@@ -121,28 +133,33 @@ class TestBba:
     def test_hand_value_at_exp_minus_one(self):
         # alpha 0.5, u (0.7, 0.3), s = e^-1: masses are 0.35*e^-1,
         # 0.15*e^-1 and 1 - 0.5*e^-1
-        s = Tensor(np.array([[[np.exp(-1.0)]]]))
-        masses = bba(s, np.log([[0.7, 0.3]]), np.zeros(1)).data
+        s = np.array([[[np.exp(-1.0)]]])
+        masses = prototype_masses(s, np.log([[0.7, 0.3]]), np.zeros(1))
         m_sing, m_omega = masses[:, :K], masses[:, IGNORANCE]
         np.testing.assert_allclose(m_sing[0, :, 0, 0], [0.1287578, 0.0551819],
                                    atol=1e-6)
         np.testing.assert_allclose(m_omega[0, 0, 0], 0.8160603, atol=1e-6)
 
     def test_masses_sum_to_one(self):
+        # a u_k and 1 - a sum to one by construction, so fusing a prototype
+        # alone divides by 1 and returns them unchanged
         rng = np.random.default_rng(5)
-        s = Tensor(rng.uniform(0, 1, size=(6, 4)).T[None])
-        masses = bba(s, rng.standard_normal((4, 2)),
-                     rng.standard_normal(4)).data
-        m_sing, m_omega = masses[:, :K], masses[:, IGNORANCE]
-        total = m_sing.sum(axis=1) + m_omega
+        s = rng.uniform(0, 1, size=(6, 4)).T[None]
+        v, alpha_logits = rng.standard_normal((4, 2)), rng.standard_normal(4)
+        masses = prototype_masses(s, v, alpha_logits)
+        a = strengths(alpha_logits)[:, None] * s[0]  # (I, V)
+        expected = np.concatenate([a[None] * memberships(v).T[:, :, None],
+                                   1 - a[None]])
+        np.testing.assert_allclose(masses[0], expected, atol=1e-12)
+        total = masses[:, :K].sum(axis=1) + masses[:, IGNORANCE]
         np.testing.assert_allclose(total, 1.0, atol=1e-12)
 
     def test_ignorance_floor(self):
         rng = np.random.default_rng(6)
         alpha_logits = rng.standard_normal(4)
-        s = Tensor(rng.uniform(0, 1, size=(6, 4)).T[None])
-        m_omega = bba(s, rng.standard_normal((4, 2)),
-                      alpha_logits).data[:, IGNORANCE]
+        s = rng.uniform(0, 1, size=(6, 4)).T[None]
+        m_omega = prototype_masses(s, rng.standard_normal((4, 2)),
+                                   alpha_logits)[:, IGNORANCE]
         floor = 1.0 - 1.0 / (1.0 + np.exp(-alpha_logits))
         assert np.all(m_omega >= floor[:, None] - 1e-12)
 
@@ -156,10 +173,11 @@ class TestBba:
         v = Tensor(np.log([[0.9, 0.1], [0.2, 0.8], [0.5, 0.5]]
                           ).astype(np.float32), requires_grad=True)
         alpha_logits = Tensor(a, requires_grad=True)
-        masses = bba(s, v, alpha_logits)
-        assert masses.dtype == np.float32
-        assert np.all(masses.data[:, IGNORANCE] > 0)
-        fused = dempster_fuse(masses)
+        evidence = bba(s, alpha_logits)
+        assert evidence.dtype == np.float32
+        assert np.all(1 - evidence.data > 0)
+        fused = dempster_fuse(evidence, v)
+        assert np.all(fused.data[:, IGNORANCE] > 0)
         (fused[:, LESION] + fused[:, IGNORANCE] * fused[:, IGNORANCE]
          ).sum().backward()
         assert np.all(np.isfinite(fused.data))
@@ -169,9 +187,9 @@ class TestBba:
     def test_omega_mass_monotone_in_distance(self):
         # larger squared distance -> smaller s -> larger ignorance mass
         d2 = np.linspace(0, 50, 25)
-        s = Tensor(np.exp(-0.1 * d2)[None, None])
-        m_omega = bba(s, np.zeros((1, 2)),
-                      np.array([0.7])).data[:, IGNORANCE]
+        s = np.exp(-0.1 * d2)[None, None]
+        m_omega = prototype_masses(s, np.zeros((1, 2)),
+                                   np.array([0.7]))[:, IGNORANCE]
         assert np.all(np.diff(m_omega[0, 0]) >= 0)
 
 
@@ -209,26 +227,33 @@ class TestDempsterFuse:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_total_conflict_below_smallest_normal(self, dtype):
-        # {a} against {b}, each with ignorance e: the normalizer is
-        # 2e - e^2, and one below the dtype's smallest normal number is
-        # total conflict, a subnormal one included
-        tiny = np.finfo(dtype).tiny
+        # I/2 prototypes on {a} (logits (0, -inf): u = (1, 0)) against I/2
+        # on {b}, the ignorances 1 - a_i of each side multiplying to P: the
+        # normalizer is 2P - P^2, and one below the dtype's smallest normal
+        # number is total conflict, a subnormal one included. Each side is
+        # n prototypes at the smallest ignorance, epsneg, and one that sets P
+        info = np.finfo(dtype)
+        eps = float(info.epsneg)
 
         def fuse(norm):
-            e = norm / 2
-            planes = np.array([[1 - e, 0.0], [0.0, 1 - e], [e, e]], dtype)
-            return dempster_fuse(Tensor(planes.reshape(1, 3, 2, 1))).data
+            p = norm / 2
+            n = int(np.log2(2 * p) // np.log2(eps))
+            side = np.array([1 - eps] * n + [1 - p / eps ** n], dtype)
+            logits = np.array([[0.0, -np.inf]] * len(side)
+                              + [[-np.inf, 0.0]] * len(side), dtype)
+            evidence = np.tile(side, 2).reshape(1, -1, 1)
+            return dempster_fuse(Tensor(evidence), logits).data
 
-        np.testing.assert_allclose(fuse(1.01 * tiny)[0, :, 0],
+        np.testing.assert_allclose(fuse(1.01 * info.tiny)[0, :, 0],
                                    [0.5, 0.5, 0.0], atol=1e-6)
         with pytest.raises(ArithmeticError, match="total conflict"):
-            fuse(0.99 * tiny)
+            fuse(0.99 * info.tiny)
 
     def test_saturated_float32_masses(self):
-        # I = 20 prototypes with m(Omega) = e from epsneg, the floor `bba`
-        # keeps, upward; the rest of each prototype's mass goes to {a} with
-        # membership u. Half lesion, half background (u = 1, 0) is in
-        # total conflict while e^10 is below the smallest normal number;
+        # I = 20 prototypes with evidence 1 - e, so m(Omega) = e from
+        # epsneg, the floor `strengths` keeps, upward; the evidence goes to
+        # {a} with membership u. Half lesion, half background (u = 1, 0) is
+        # in total conflict while e^10 is below the smallest normal number;
         # random memberships are not
         i = 20
         rng = np.random.default_rng(16)
@@ -237,18 +262,24 @@ class TestDempsterFuse:
         sweep = np.geomspace(np.finfo(np.float32).epsneg, 0.5, 400)
         raised = {name: [] for name in configs}
         for name, u in configs.items():
+            with np.errstate(divide="ignore"):
+                logits = np.log(np.stack([u, 1 - u], axis=1)
+                                ).astype(np.float32)
+            u32 = memberships(logits)
             for e in sweep:
-                planes = np.stack([(1 - e) * u, (1 - e) * (1 - u),
-                                   np.full(i, e)]).astype(np.float32)
+                evidence = np.full((1, i, 1), 1 - e, np.float32)
+                a = evidence[0, :, 0]
+                # the masses `dempster_fuse` forms, as (N, 3, I, V) planes
+                planes = np.stack([a * u32[:, 0], a * u32[:, 1], 1 - a])
                 planes = planes.reshape(1, 3, i, 1)
                 try:
                     want = log_space_fuse(planes)
                 except ArithmeticError:
                     with pytest.raises(ArithmeticError, match="conflict"):
-                        dempster_fuse(Tensor(planes))
+                        dempster_fuse(Tensor(evidence), logits)
                     raised[name].append(e)
                     continue
-                got = dempster_fuse(Tensor(planes)).data
+                got = dempster_fuse(Tensor(evidence), logits).data
                 p64 = planes.astype(np.float64)
                 ref = tape_dempster_fuse(Tensor(p64[:, :K].swapaxes(1, 2)),
                                          Tensor(p64[:, K])).data
@@ -417,21 +448,20 @@ class TestFusedStages:
         lv = {k: Tensor(v, requires_grad=True) for k, v in params.items()}
         s = distance_activation(flat, lv["es.prototypes"],
                                 lv["es.gamma_roots"])
-        masses = bba(s, lv["es.membership_logits"], lv["es.alpha_logits"])
-        fused = dempster_fuse(masses)
+        evidence = bba(s, lv["es.alpha_logits"])
+        fused = dempster_fuse(evidence, lv["es.membership_logits"])
         for out, inputs in (
                 (s, (flat, lv["es.prototypes"], lv["es.gamma_roots"])),
-                (masses, (s, lv["es.membership_logits"],
-                          lv["es.alpha_logits"])),
-                (fused, (masses,))):
+                (evidence, (s, lv["es.alpha_logits"])),
+                (fused, (evidence, lv["es.membership_logits"]))):
             assert len(out._prev) == len(inputs)
             assert all(a is b for a, b in zip(out._prev, inputs))
         n, _, v = flat.shape
-        assert (s.shape, masses.shape, fused.shape) == (
-            (n, 20, v), (n, 3, 20, v), (n, 3, v))
-        # voxel-minor planes: reductions over prototypes add contiguous
+        assert (s.shape, evidence.shape, fused.shape) == (
+            (n, 20, v), (n, 20, v), (n, 3, v))
+        # voxel-minor planes: each prototype's factors are contiguous
         # V-vectors
-        for out in (s, masses, fused):
+        for out in (s, evidence, fused):
             assert out.data.flags.c_contiguous
 
 

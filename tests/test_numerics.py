@@ -22,7 +22,7 @@ from evidseg.volume_io import generate_phantom
 
 # head -> (loss bound, bound on every tensor's gradient error)
 STEP_BOUNDS = {
-    "evidential": (1e-7, 5e-5),  # measured 9.4e-9; 4.6e-6 (es.membership_logits)
+    "evidential": (1e-7, 5e-5),  # measured 9.4e-9; 4.5e-6 (es.membership_logits)
     "softmax": (2e-7, 5e-6),     # measured 2.0e-8; 5.3e-7 (head.w)
 }
 PREDICT_BOUND = 3e-6  # measured 3.0e-7

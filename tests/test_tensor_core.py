@@ -521,7 +521,9 @@ class TestBackwardConsumesTape:
         # one epoch of 4 steps and 1 validation case, as perfbench's train
         # unit: a backward that kept its tape peaked at 136.0 MiB, because
         # each step's tape lived until the next forward had built its own;
-        # consumed, the peak is one step's (74.9 MiB measured)
+        # consumed, the peak is one step's: 74.9 MiB measured while `bba`
+        # wrote (N, 3, I, V) mass planes and `dempster_fuse`'s backward their
+        # gradient, 49.9 MiB measured with the masses formed per prototype
         cases = [generate_phantom(derive_seed(0, f"desk:{i}"), (32, 32, 32),
                                   (1, 3)) for i in range(9)]
         config = TrainConfig(epochs=1, patch_dims=(32, 32, 32))
@@ -532,7 +534,7 @@ class TestBackwardConsumesTape:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 90 << 20, f"peak {peak / 2**20:.1f} MiB"
+        assert peak < 64 << 20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestInferenceKeepsNoTape:
@@ -548,7 +550,9 @@ class TestInferenceKeepsNoTape:
     def test_full_scale_window_peak_memory(self):
         # one full-scale 32^3 window: with the tape kept, every activation
         # lived until the window ended (37.7 MiB measured); without it, the
-        # peak is the largest few activations at once (12.3 MiB measured)
+        # peak is the largest few activations at once (12.3 MiB measured
+        # with (N, 3, I, V) mass planes, 8.0 MiB with the masses formed per
+        # prototype)
         model = Model.create(BackboneConfig(channels=FULL_CHANNELS),
                              "evidential", TrainConfig(), 0)
         x = np.random.default_rng(15).standard_normal(
@@ -559,7 +563,7 @@ class TestInferenceKeepsNoTape:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 << 20, f"peak {peak / 2**20:.1f} MiB"
+        assert peak < 10 << 20, f"peak {peak / 2**20:.1f} MiB"
 
 
 class TestFiniteDifferenceCheck:
