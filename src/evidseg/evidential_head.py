@@ -29,8 +29,7 @@ each prototype's factors inside its running products, in the forward and
 again in the backward, so no (N, 3, I, V) array of masses or of their
 gradients is ever built. Every array is contiguous, so a prototype's
 factors are contiguous V-vectors, and the mass map is a reshape of the
-fused masses. `fuse_mass_arrays` feeds general (..., I, 3) masses through
-the same Dempster forward.
+fused masses.
 """
 
 from __future__ import annotations
@@ -121,46 +120,22 @@ def bba(s: Tensor, alpha_logits) -> Tensor:
     return Tensor._make(evidence, "bba", (s, a), backward)
 
 
-def _dempster(factors, count):
-    """Closed-form Dempster fusion of `count` simple mass functions.
-
-    `factors(i)` returns the i-th mass function's factors as fresh
-    arrays: m_i({k}) + m_i(Omega) for each class, (N, K, V), and
-    m_i(Omega), (N, 1, V). The unnormalized singleton mass of class k is
-    prod_i(m_i({k}) + m_i(Omega)) - prod_i m_i(Omega), the unnormalized
-    ignorance mass is prod_i m_i(Omega). Both are running products, one
-    mass function at a time. Every factor lies in [epsneg, 1], because
-    `strengths` and `distance_activation` keep m_i(Omega) = 1 - alpha_i s_i
-    >= epsneg: a partial product is never below the final one, so none
-    underflows before the final product does, and the divisions by factors
-    in `dempster_fuse`'s backward stay finite.
-    Returns (fused (N, 3, V), w (N, K, V) singleton products,
-    o (N, 1, V) ignorance product, norm (N, 1, V)).
-    """
-    w, o = factors(0)
-    for i in range(1, count):
-        factor, omega = factors(i)
-        w *= factor
-        o *= omega
-    fused = np.concatenate([w - o, o], axis=1)
-    norm = fused[:, :K].sum(axis=1, keepdims=True) + o
-    # total conflict: all mass on the empty set, to within rounding. A
-    # normalizer below the smallest normal number of its dtype has lost
-    # significant bits, and the backward's division by it can overflow
-    if np.any(norm < np.finfo(norm.dtype).tiny):
-        raise ArithmeticError("total conflict in Dempster combination")
-    fused /= norm
-    return fused, w, o, norm
-
-
 def dempster_fuse(evidence: Tensor, membership_logits) -> Tensor:
     """Normalized Dempster combination of I simple mass functions per voxel.
 
     Takes the (N, I, V) evidence of `bba` and the (I, K) membership
     logits; prototype i's masses are a_i u_ik on {k} and 1 - a_i on Omega.
-    Returns (N, 3, V) masses ordered (lesion, background, ignorance). The
-    forward and the backward form each prototype's factors in turn, so no
-    (N, 3, I, V) array of masses or of their gradients exists.
+    Returns (N, 3, V) masses ordered (lesion, background, ignorance).
+
+    The unnormalized singleton mass of class k is prod_i(a_i u_ik + 1 -
+    a_i) - prod_i(1 - a_i), the unnormalized ignorance mass prod_i(1 -
+    a_i). Both are running products; the forward and the backward form
+    each prototype's factors in turn, so no (N, 3, I, V) array of masses or
+    of their gradients exists. Every factor lies in [epsneg, 1], because
+    `strengths` and `distance_activation` keep 1 - a_i >= epsneg: a partial
+    product is never below the final one, so none underflows before the
+    final product does, and the backward's divisions by factors stay
+    finite.
     """
     e, v = map(as_tensor, (evidence, membership_logits))
     ed = e.data                             # (N, I, V)
@@ -172,7 +147,19 @@ def dempster_fuse(evidence: Tensor, membership_logits) -> Tensor:
         factor += omega                     # a_i u_ik + (1 - a_i), (N, K, V)
         return factor, omega
 
-    fused, w, o, norm = _dempster(factors, ed.shape[1])
+    w, o = factors(0)
+    for i in range(1, ed.shape[1]):
+        factor, omega = factors(i)
+        w *= factor
+        o *= omega
+    fused = np.concatenate([w - o, o], axis=1)
+    norm = fused[:, :K].sum(axis=1, keepdims=True) + o
+    # total conflict: all mass on the empty set, to within rounding. A
+    # normalizer below the smallest normal number of its dtype has lost
+    # significant bits, and the backward's division by it can overflow
+    if np.any(norm < np.finfo(norm.dtype).tiny):
+        raise ArithmeticError("total conflict in Dempster combination")
+    fused /= norm
 
     def backward(g):
         # through the normalization: out_j = v_j / norm
@@ -195,19 +182,6 @@ def dempster_fuse(evidence: Tensor, membership_logits) -> Tensor:
         return ge, u * (g_u - (g_u * u).sum(axis=1, keepdims=True))
 
     return Tensor._make(fused, "dempster_fuse", (e, v), backward)
-
-
-def fuse_mass_arrays(masses: np.ndarray) -> np.ndarray:
-    """Closed-form fusion of plain arrays shaped (..., I, 3)."""
-    m = np.asarray(masses, dtype=np.float64)
-    blocks = m.reshape(-1, *m.shape[-2:])[..., None]  # (B, I, 3, V = 1)
-
-    def factors(i):
-        omega = blocks[:, i, K:].copy()
-        return blocks[:, i, :K] + omega, omega
-
-    fused = _dempster(factors, m.shape[-2])[0]
-    return fused.reshape(m.shape[:-2] + (K + 1,))
 
 
 def es_forward(features: Tensor, params) -> Tensor:

@@ -38,6 +38,11 @@ class Volume:
                 f"voxel array shape {self.voxels.shape} != dims {self.dims}")
         if self.modality not in MODALITIES:
             raise VolumeFormatError(f"unknown modality {self.modality!r}")
+        if not (len(self.spacing) == 3
+                and all(0 < s < np.inf for s in self.spacing)):
+            raise VolumeFormatError(
+                f"spacing must be three finite positive numbers, "
+                f"got {self.spacing}")
         if self.modality == "MASK":
             vals = np.unique(self.voxels)
             if not np.all(np.isin(vals, (0.0, 1.0))):
@@ -141,7 +146,10 @@ def read_volume(path) -> Volume:
     bad = np.count_nonzero(~np.isfinite(voxels))
     if bad:
         raise VolumeFormatError(f"{path}: {bad} non-finite voxel(s)")
-    return Volume(tuple(dims), tuple(spacing), header["modality"], voxels)
+    try:
+        return Volume(tuple(dims), tuple(spacing), header["modality"], voxels)
+    except VolumeFormatError as e:
+        raise VolumeFormatError(f"{path}: {e}") from None
 
 
 # PatientCase field -> the modality of its <field>.evol file in a case dir
@@ -266,6 +274,11 @@ def _check_splits(splits, manifest):
     split_of = {}  # case id -> the split that lists it
     for name, ids in splits.items():
         for cid in ids:
+            # a case id names a directory inside the dataset directory
+            if cid in ("", ".", "..") or "/" in cid or "\\" in cid:
+                raise VolumeFormatError(
+                    f"{manifest}: case id {cid!r} is not a plain "
+                    f"directory name")
             if cid in split_of:
                 raise VolumeFormatError(
                     f"{manifest}: case {cid!r} is listed in split "
@@ -295,19 +308,23 @@ def write_dataset(cases: list, splits: dict, out_dir):
 def read_dataset(data_dir):
     """Returns ({case_id: PatientCase}, {split_name: [case_id]}); the
     splits must be disjoint, list each case once and list only cases
-    present in `data_dir`."""
+    present in `data_dir`, each in the directory named by its id."""
     data_dir = Path(data_dir)
     manifest = data_dir / "splits.json"
     if not manifest.exists():
         raise VolumeFormatError(f"{data_dir}: missing splits.json")
     splits = _read_json(manifest)
-    ids = _check_splits(splits, manifest)
-    for cid in ids:
-        if not (data_dir / cid / "case.json").is_file():
+    cases = {}
+    for cid in _check_splits(splits, manifest):
+        meta = data_dir / cid / "case.json"
+        if not meta.is_file():
             raise VolumeFormatError(
-                f"{manifest}: lists case {cid!r}, but "
-                f"{data_dir / cid / 'case.json'} does not exist")
-    return {cid: read_case(data_dir / cid) for cid in ids}, splits
+                f"{manifest}: lists case {cid!r}, but {meta} does not exist")
+        case = cases[cid] = read_case(data_dir / cid)
+        if case.id != cid:
+            raise VolumeFormatError(
+                f"{meta}: id {case.id!r} is not its directory's name {cid!r}")
+    return cases, splits
 
 
 # -- dataset splits --------------------------------------------------------

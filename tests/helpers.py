@@ -2,7 +2,9 @@
 
 The Dempster oracle here deliberately avoids the closed form used by the
 package: it combines mass functions pairwise over the explicit 4-element
-power set of a 2-class frame, renormalizing conflict at each step.
+power set of a 2-class frame, renormalizing conflict at each step;
+`fuse_bbas` runs explicit mass rows through the package's `dempster_fuse`
+for comparison with it.
 
 The tape head (`tape_*`) is the evidential head written as a composite of
 elementwise tape ops, with the same math as `evidential_head` but every
@@ -15,7 +17,7 @@ import struct
 
 import numpy as np
 
-from evidseg.evidential_head import K
+from evidseg.evidential_head import K, dempster_fuse
 from evidseg.tensor_core import Tensor, as_tensor, concat
 
 # subsets of the frame {a, b} as bitmasks: 0 = empty, 1 = {a}, 2 = {b}, 3 = frame
@@ -42,6 +44,18 @@ def powerset_fuse(masses):
     for m in masses[1:]:
         acc = powerset_fuse_pair(acc, m)
     return acc
+
+
+def fuse_bbas(masses):
+    """Fuse (I, 3) simple mass functions (m_a, m_b, m_frame) with
+    `dempster_fuse` at one voxel: evidence m_a + m_b, membership logits
+    log m_k, or (0, 0) where the evidence is 0, since the vacuous row
+    [0, 0, 1] would give NaN memberships. Returns the fused (3,) masses."""
+    m = np.asarray(masses, dtype=np.float64)
+    evidence = m[:, :K].sum(axis=1)
+    with np.errstate(divide="ignore"):
+        logits = np.where(evidence[:, None] > 0, np.log(m[:, :K]), 0.0)
+    return dempster_fuse(Tensor(evidence[None, :, None]), logits).data[0, :, 0]
 
 
 def random_simple_bba(rng):

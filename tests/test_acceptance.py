@@ -19,7 +19,7 @@ import pytest
 
 from evidseg import gradcheck as gc
 from evidseg.cli import SEEDS, reproduce
-from evidseg.evidential_head import es_forward, fuse_mass_arrays
+from evidseg.evidential_head import es_forward
 from evidseg.metrics import ConfusionCounts, compute_metrics
 from evidseg.objectives import dice_loss, uncertainty_loss
 from evidseg.tensor_core import Tensor
@@ -27,7 +27,8 @@ from evidseg.trainer import (HEADS, Model, TrainConfig, load_checkpoint,
                              save_checkpoint)
 from evidseg.backbone_unet import BackboneConfig
 from evidseg.volume_io import Volume, read_volume, write_volume
-from helpers import powerset_fuse, random_es_params, random_simple_bba
+from helpers import (fuse_bbas, powerset_fuse, random_es_params,
+                     random_simple_bba)
 
 
 def test_criterion_1_mass_validity():
@@ -53,11 +54,9 @@ def test_criterion_2_dempster_oracle():
     for _ in range(1000):
         count = int(rng.integers(1, 7))
         masses = np.stack([random_simple_bba(rng) for _ in range(count)])
-        closed_form = fuse_mass_arrays(masses[None])[0]
-        np.testing.assert_allclose(closed_form, powerset_fuse(masses),
+        np.testing.assert_allclose(fuse_bbas(masses), powerset_fuse(masses),
                                    atol=1e-10)
-    worked = fuse_mass_arrays(np.array([[[0.35, 0.15, 0.5],
-                                         [0.35, 0.15, 0.5]]]))[0]
+    worked = fuse_bbas([[0.35, 0.15, 0.5], [0.35, 0.15, 0.5]])
     np.testing.assert_allclose(worked, [0.527933, 0.192737, 0.279330],
                                atol=5e-7)
 

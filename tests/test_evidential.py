@@ -9,11 +9,10 @@ from evidseg.evidential_head import (BACKGROUND, CODE_BACKGROUND, CODE_IGNORANCE
                                      CODE_LESION, IGNORANCE, K, LESION, bba,
                                      decide, dempster_fuse,
                                      distance_activation, es_forward,
-                                     fuse_mass_arrays, memberships,
-                                     pignistic_lesion, strengths)
+                                     memberships, pignistic_lesion, strengths)
 from evidseg.tensor_core import Tensor
-from helpers import (powerset_fuse, random_es_params, random_simple_bba,
-                     tape_dempster_fuse, tape_es_forward)
+from helpers import (fuse_bbas, powerset_fuse, random_es_params,
+                     random_simple_bba, tape_dempster_fuse, tape_es_forward)
 
 
 def log_space_fuse(planes):
@@ -195,35 +194,33 @@ class TestBba:
 
 class TestDempsterFuse:
     def test_worked_self_fusion(self):
-        m = np.array([[0.35, 0.15, 0.5], [0.35, 0.15, 0.5]])
-        fused = fuse_mass_arrays(m[None])
-        np.testing.assert_allclose(fused[0], [0.527933, 0.192737, 0.279330],
+        fused = fuse_bbas([[0.35, 0.15, 0.5], [0.35, 0.15, 0.5]])
+        np.testing.assert_allclose(fused, [0.527933, 0.192737, 0.279330],
                                    atol=5e-7)
 
     def test_vacuous_neutrality(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             m = random_simple_bba(rng)
-            fused = fuse_mass_arrays(np.stack([m, [0.0, 0.0, 1.0]])[None])
-            np.testing.assert_allclose(fused[0], m, atol=1e-12)
+            fused = fuse_bbas([m, [0.0, 0.0, 1.0]])
+            np.testing.assert_allclose(fused, m, atol=1e-12)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(8)
         masses = np.stack([random_simple_bba(rng) for _ in range(5)])
-        base = fuse_mass_arrays(masses[None])
+        base = fuse_bbas(masses)
         for _ in range(10):
             perm = rng.permutation(5)
-            np.testing.assert_allclose(fuse_mass_arrays(masses[perm][None]),
-                                       base, atol=1e-12)
+            np.testing.assert_allclose(fuse_bbas(masses[perm]), base,
+                                       atol=1e-12)
 
     def test_matches_powerset_oracle(self):
         rng = np.random.default_rng(9)
         for _ in range(200):
             count = int(rng.integers(1, 7))
             masses = np.stack([random_simple_bba(rng) for _ in range(count)])
-            fused = fuse_mass_arrays(masses[None])[0]
-            np.testing.assert_allclose(fused, powerset_fuse(masses),
-                                       atol=1e-10)
+            np.testing.assert_allclose(fuse_bbas(masses),
+                                       powerset_fuse(masses), atol=1e-10)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_total_conflict_below_smallest_normal(self, dtype):
@@ -295,8 +292,7 @@ class TestDempsterFuse:
     def test_single_mass_identity(self):
         rng = np.random.default_rng(10)
         m = random_simple_bba(rng)
-        np.testing.assert_allclose(fuse_mass_arrays(m[None, None]), m[None],
-                                   atol=1e-12)
+        np.testing.assert_allclose(fuse_bbas([m]), m, atol=1e-12)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
@@ -312,23 +308,21 @@ class TestDempsterFuse:
         alpha_s, u = np.array(protos).T
         bbas = np.stack([alpha_s * u, alpha_s * (1.0 - u), 1.0 - alpha_s],
                         axis=-1)
-        fused = fuse_mass_arrays(bbas[None])
-        assert fused[0, LESION] <= fused[0, BACKGROUND]
-        assert pignistic_lesion(fused)[0] <= 0.5
-        assert decide(fused)[0][0] == 0.0
+        fused = fuse_bbas(bbas)
+        assert fused[LESION] <= fused[BACKGROUND]
+        assert pignistic_lesion(fused) <= 0.5
+        assert decide(fused)[0] == 0.0
 
     def test_tie_whose_masses_sum_over_one_is_background(self):
-        # every u the largest double below 1/2: fusion rounds m({a}) and
-        # m({b}) to the same value while the masses sum to 1 + 2^-52, which
-        # puts m({a}) + m(Omega)/2 one ulp over 1/2
-        alpha_s = np.array([0.9915454694976327, 0.5320054580970641,
-                            0.0025835635887759834, 0.6014039333823012,
-                            0.7558637036604008, 0.18135179414467484])
-        u = 0.5 - 2.0 ** -54
-        bbas = np.stack([alpha_s * u, alpha_s * (1.0 - u), 1.0 - alpha_s],
-                        axis=-1)
-        fused = fuse_mass_arrays(bbas[None])[0]
-        assert fused[LESION] == fused[BACKGROUND] == 0.49946185625946826
+        # zero membership logits, so every u is 1/2: fusion gives m({a}) ==
+        # m({b}) while the masses sum to 1 + 2^-52, which puts m({a}) +
+        # m(Omega)/2 one ulp over 1/2
+        evidence = np.array([0.8574042765875693, 0.033585575305464355,
+                             0.7296554464299441, 0.17565562060255901,
+                             0.8631789223498866, 0.5414612202490917])
+        fused = dempster_fuse(Tensor(evidence[None, :, None]),
+                              np.zeros((6, K))).data[0, :, 0]
+        assert fused[LESION] == fused[BACKGROUND] == 0.4964037351347463
         assert fused.sum() == 1.0 + 2.0 ** -52
         assert fused[LESION] + 0.5 * fused[IGNORANCE] > 0.5
         assert pignistic_lesion(fused) == 0.5

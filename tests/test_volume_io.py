@@ -47,6 +47,12 @@ class TestVolume:
         with pytest.raises(VolumeFormatError):
             Volume((2, 2, 2), (1, 1, 1), "MRI", np.zeros((2, 2, 2)))
 
+    @pytest.mark.parametrize("spacing", [(-4, 0, 4), (np.nan, 1, 1),
+                                         (np.inf, 1, 1), (1, 1)])
+    def test_spacing_must_be_three_finite_positive(self, spacing):
+        with pytest.raises(VolumeFormatError, match="spacing"):
+            Volume((2, 2, 2), spacing, "PET", np.zeros((2, 2, 2)))
+
     def test_case_requires_equal_dims(self):
         rng = np.random.default_rng(0)
         with pytest.raises(VolumeFormatError):
@@ -104,9 +110,13 @@ class TestEvolFormat:
         b"EVIDVOL1" + struct.pack("<I", 2) + b"\xff\xfe" + b"\0" * 32,
         evol_bytes(GOOD_HEADER, np.array([0, 0, np.nan, 0, 0, np.inf, 0, 0],
                                          dtype="<f4").tobytes()),
+        evol_bytes({**GOOD_HEADER, "spacing": [-4, 0, 4]}),
+        evol_bytes({**GOOD_HEADER, "spacing": [float("nan"), 1, 1]}),
+        evol_bytes({**GOOD_HEADER, "spacing": [float("inf"), 1, 1]}),
     ], ids=["float-dims", "negative-dims", "two-axis-dims", "missing-dims",
             "list-header", "dtype-f64", "nine-byte-file", "bad-json",
-            "bad-utf8", "nonfinite-voxels"])
+            "bad-utf8", "nonfinite-voxels", "nonpositive-spacing",
+            "nan-spacing", "infinite-spacing"])
     def test_malformed_header_is_format_error(self, tmp_path, raw):
         path = tmp_path / "bad.evol"
         path.write_bytes(raw)
@@ -244,9 +254,17 @@ class TestDatasetDir:
         ("splits.json: case 'c' .*'train' .*'train'",
          lambda ds, c: (ds / "splits.json").write_text(
              json.dumps({"train": [c, c]}))),
+        # the path leads back to the case, but from outside the dataset
+        ("splits.json: case id '../.*' is not a plain directory name",
+         lambda ds, c: (ds / "splits.json").write_text(
+             json.dumps({"train": [f"../{ds.name}/{c}"]}))),
+        ("case.json: id 'other' is not its directory's name 'c'",
+         lambda ds, c: (ds / c / "case.json").write_text(
+             json.dumps({"id": "other"}))),
     ], ids=["case-without-id", "splits-list", "split-string",
             "splits-undecodable", "case-undecodable", "ct-as-pet",
-            "pet-as-mask", "splits-overlap", "case-twice-in-split"])
+            "pet-as-mask", "splits-overlap", "case-twice-in-split",
+            "case-id-outside-dataset", "case-id-not-directory"])
     def test_malformed_dataset_names_file(self, tmp_path, name, damage):
         case = generate_phantom(0, (16, 16, 16), (1, 2))
         case.id = "c"
