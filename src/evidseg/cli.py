@@ -37,8 +37,8 @@ class CliError(Exception):
 
 def cmd_phantom(args):
     out = Path(args.out)
-    if out.exists() and any(out.iterdir()) and not args.force:
-        raise CliError(f"{out} exists and is not empty (use --force)")
+    if out.exists() and any(out.iterdir()):
+        raise CliError(f"{out} exists and is not empty")
     dims = _parse_dims(args.dims)
     lo, hi = args.lesions
     cases = []
@@ -242,7 +242,6 @@ def build_parser():
     p.add_argument("--lesions", type=int, nargs=2, default=(1, 3),
                    metavar=("MIN", "MAX"))
     p.add_argument("--ratios", type=float, nargs=3, default=(0.8, 0.1, 0.1))
-    p.add_argument("--force", action="store_true")
     p.set_defaults(fn=cmd_phantom)
 
     p = sub.add_parser("train", help="train a model")

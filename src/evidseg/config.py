@@ -20,12 +20,15 @@ from .trainer import HEADS, TrainConfig
 SECTIONS = {
     "backbone": ("channels",),
     "es": ("head", "prototypes", "alpha_init", "gamma_init"),
-    "loss": ("lambda", "dice_mode"),
+    "loss": ("lambda",),
     "train": ("lr", "epochs", "batch_size", "patch_dims", "seed", "adam",
               "lesion_patch_fraction"),
 }
 # keys whose field names differ; every other key is its field's name
 _FIELDS = {"lambda": "lam", "adam": ("beta1", "beta2", "eps")}
+# keys that only the evidential head reads, so the softmax head refuses them
+EVIDENTIAL_KEYS = {"es": ("prototypes", "alpha_init", "gamma_init"),
+                   "loss": ("lambda",)}
 
 
 class ConfigError(ValueError):
@@ -58,6 +61,11 @@ class RunConfig:
         self.head = self._values.pop("head", HEADS[0])
         if self.head not in HEADS:
             raise ConfigError(f"unknown head {self.head!r}")
+        ignored = [f"{section}.{key}" for section, keys
+                   in EVIDENTIAL_KEYS.items() for key in keys
+                   if key in doc.get(section, {})]
+        if self.head == "softmax" and ignored:
+            raise ConfigError("the softmax head ignores " + ", ".join(ignored))
 
     @classmethod
     def from_file(cls, path):

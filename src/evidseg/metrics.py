@@ -119,8 +119,8 @@ def window_starts(extent: int, patch: int, stride: int):
     return starts
 
 
-def sliding_window_masses(forward_fn, x: np.ndarray,
-                          patch_dims=(32, 32, 32), stride=16) -> np.ndarray:
+def sliding_window_masses(forward_fn, x: np.ndarray, patch_dims,
+                          stride) -> np.ndarray:
     """Full-volume mass map from patch predictions, averaged in overlaps.
 
     `forward_fn` maps a (1, C, px, py, pz) input to (1, px, py, pz, 3)

@@ -1,8 +1,7 @@
 """Training objective: soft Dice loss + uncertainty loss + L1 on alpha.
 
-The segmentation map S fed to the Dice loss is derived from the fused mass
-map; by default the pignistic lesion probability m({a}) + m(Omega)/2, with
-the bare singleton mass m({a}) as an alternative mode.
+The segmentation map S fed to the Dice loss is the pignistic lesion
+probability m({a}) + m(Omega)/2 of the fused mass map.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from .evidential_head import IGNORANCE, LESION
 from .tensor_core import Tensor, as_tensor
 
 DICE_EPS = 1e-6
-DICE_MODES = ("pignistic", "singleton")
 
 
 def dice_loss(s, g) -> Tensor:
@@ -38,8 +36,7 @@ def uncertainty_loss(m_omega) -> Tensor:
     return (m_omega * m_omega).mean()
 
 
-def total_loss(mass_map: Tensor, g: np.ndarray, alpha_logits,
-               lam: float = 1e-5, dice_mode: str = "pignistic"):
+def total_loss(mass_map: Tensor, g: np.ndarray, alpha_logits, lam: float):
     """Full objective for a (N, 3, X, Y, Z) mass tensor and binary truth G.
 
     `alpha_logits` is None for a head without evidence strengths; its L1
@@ -49,7 +46,7 @@ def total_loss(mass_map: Tensor, g: np.ndarray, alpha_logits,
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     n = mass_map.shape[0]
-    s = lesion_map(mass_map, dice_mode).reshape(n, -1)
+    s = lesion_map(mass_map).reshape(n, -1)
     g_flat = np.asarray(g, dtype=mass_map.dtype).reshape(n, -1)
     loss_d = dice_loss(s, g_flat)
     loss_u = uncertainty_loss(mass_map[:, IGNORANCE])
@@ -62,16 +59,12 @@ def total_loss(mass_map: Tensor, g: np.ndarray, alpha_logits,
                    "total": float(total.data)}
 
 
-def lesion_map(mass_map: Tensor, mode: str = "pignistic") -> Tensor:
-    """Soft lesion probability S from a (N, 3, X, Y, Z) mass tensor.
+def lesion_map(mass_map: Tensor) -> Tensor:
+    """Soft lesion probability S = m({a}) + m(Omega)/2 from a (N, 3, X, Y, Z)
+    mass tensor.
 
-    The pignistic mode is m({a}) + m(Omega)/2. On normalized masses that
-    equals `evidential_head.pignistic_lesion`'s 1/2 + (m({a}) - m({b}))/2;
-    the two differ only by the rounding of the mass sum.
+    On normalized masses S equals `evidential_head.pignistic_lesion`'s
+    1/2 + (m({a}) - m({b}))/2; the two differ only by the rounding of the
+    mass sum.
     """
-    if mode not in DICE_MODES:
-        raise ValueError(f"unknown dice mode {mode!r}")
-    m_a = mass_map[:, LESION]
-    if mode == "singleton":
-        return m_a
-    return m_a + 0.5 * mass_map[:, IGNORANCE]
+    return mass_map[:, LESION] + 0.5 * mass_map[:, IGNORANCE]

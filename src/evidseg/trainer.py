@@ -21,7 +21,7 @@ from .seeding import derive_seed
 from .volume_io import PatientCase, read_framed, write_framed
 
 CKPT_MAGIC = b"EVIDCKPT"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 HEADS = ("evidential", "softmax")  # the first is the default
 
 
@@ -43,7 +43,6 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    dice_mode: str = "pignistic"
     lesion_patch_fraction: float = 0.5
 
     def __post_init__(self):
@@ -77,8 +76,6 @@ class TrainConfig:
             raise ValueError("eps must be positive and finite")
         if not 0.0 <= self.lesion_patch_fraction <= 1.0:
             raise ValueError("lesion_patch_fraction must lie in [0, 1]")
-        if self.dice_mode not in obj.DICE_MODES:
-            raise ValueError(f"unknown dice mode {self.dice_mode!r}")
         if len(self.patch_dims) != 3 or min(self.patch_dims) < 1:
             raise ValueError(f"patch_dims must be three positive sizes, "
                              f"got {self.patch_dims}")
@@ -373,8 +370,7 @@ def train(model: Model, train_cases, val_cases, config: TrainConfig,
             gb = np.stack(gs)
             out, leaves = model.forward(xb, trainable=True)
             total, breakdown = obj.total_loss(
-                out, gb, leaves.get("es.alpha_logits"),
-                lam=config.lam, dice_mode=config.dice_mode)
+                out, gb, leaves.get("es.alpha_logits"), lam=config.lam)
             if not np.isfinite(total.data):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, step {t + 1}: "

@@ -190,28 +190,22 @@ def read_case(case_dir) -> PatientCase:
 
 # -- synthetic PET/CT phantom ---------------------------------------------
 
-@dataclass
-class PhantomParams:
-    body_hu: float = 40.0          # soft-tissue mean HU inside the body
-    air_hu: float = -1000.0
-    pet_background_suv: float = 1.0
-    pet_noise_sd: float = 0.05
-    ct_noise_sd: float = 20.0
-    peak_suv_range: tuple[float, float] = (4.0, 15.0)
-    lesion_radius_range: tuple[float, float] = (2.0, 5.0)  # voxels
-    mask_threshold: float = 0.4    # fraction of lesion peak
-
-
+# peak SUV and per-axis radius in voxels of each lesion, drawn uniformly
+PEAK_SUV = (4.0, 15.0)
+LESION_RADII = (2.0, 5.0)
 # with falloff exp(-K*rho^2), intensity hits 40% of peak exactly at rho=1,
 # so the mask is the unit ellipsoid of each lesion
 _FALLOFF = float(np.log(1.0 / 0.4))
 
 
 def generate_phantom(seed: int, dims: tuple[int, int, int],
-                     lesion_count_range: tuple[int, int],
-                     params: PhantomParams | None = None) -> PatientCase:
-    """Deterministic synthetic PET/CT case with ellipsoidal hot lesions."""
-    params = params or PhantomParams()
+                     lesion_count_range: tuple[int, int]) -> PatientCase:
+    """Deterministic synthetic PET/CT case with ellipsoidal hot lesions.
+
+    CT: 40 HU soft tissue plus a smooth 30 HU wobble in an ellipsoidal body,
+    -1000 HU air outside, noise sd 20 HU. PET: SUV 1 in the body, 0.05
+    outside, plus each lesion's Gaussian bump; noise sd 0.05 SUV.
+    """
     dims = tuple(int(d) for d in dims)
     if any(d < 16 for d in dims):
         raise ValueError(f"phantom dims must be >= 16 per axis, got {dims}")
@@ -233,23 +227,23 @@ def generate_phantom(seed: int, dims: tuple[int, int, int],
     wobble = 30.0 * (np.cos(2 * np.pi * x / dims[0] + phase[0])
                      * np.cos(2 * np.pi * y / dims[1] + phase[1])
                      * np.cos(2 * np.pi * z / dims[2] + phase[2]))
-    ct = np.where(body, params.body_hu + wobble, params.air_hu)
-    ct = ct + rng.normal(0.0, params.ct_noise_sd, size=dims)
+    ct = np.where(body, 40.0 + wobble, -1000.0)
+    ct = ct + rng.normal(0.0, 20.0, size=dims)
 
-    pet_clean = np.where(body, params.pet_background_suv, 0.05)
+    pet_clean = np.where(body, 1.0, 0.05)
     mask = np.zeros(dims, dtype=bool)
     n_lesions = int(rng.integers(lo, hi + 1))
     for _ in range(n_lesions):
-        radii = rng.uniform(*params.lesion_radius_range, size=3)
+        radii = rng.uniform(*LESION_RADII, size=3)
         # keep the lesion core inside the body
         c = center + rng.uniform(-0.6, 0.6, size=3) * body_radii
-        peak = rng.uniform(*params.peak_suv_range)
+        peak = rng.uniform(*PEAK_SUV)
         rho2 = (((x - c[0]) / radii[0]) ** 2
                 + ((y - c[1]) / radii[1]) ** 2
                 + ((z - c[2]) / radii[2]) ** 2)
         pet_clean = pet_clean + peak * np.exp(-_FALLOFF * rho2)
         mask |= rho2 <= 1.0
-    pet = pet_clean + rng.normal(0.0, params.pet_noise_sd, size=dims)
+    pet = pet_clean + rng.normal(0.0, 0.05, size=dims)
 
     spacing = (4.0, 4.0, 4.0)
     return PatientCase(
@@ -261,6 +255,13 @@ def generate_phantom(seed: int, dims: tuple[int, int, int],
 
 
 # -- dataset directories ---------------------------------------------------
+
+def _check_case_id(cid, where):
+    # a case id names a directory inside the dataset directory
+    if cid in ("", ".", "..") or "/" in cid or "\\" in cid:
+        raise VolumeFormatError(
+            f"{where}: case id {cid!r} is not a plain directory name")
+
 
 def _check_splits(splits, manifest):
     """The case ids of `splits`, a {split name: [case id]} map whose splits
@@ -274,11 +275,7 @@ def _check_splits(splits, manifest):
     split_of = {}  # case id -> the split that lists it
     for name, ids in splits.items():
         for cid in ids:
-            # a case id names a directory inside the dataset directory
-            if cid in ("", ".", "..") or "/" in cid or "\\" in cid:
-                raise VolumeFormatError(
-                    f"{manifest}: case id {cid!r} is not a plain "
-                    f"directory name")
+            _check_case_id(cid, manifest)
             if cid in split_of:
                 raise VolumeFormatError(
                     f"{manifest}: case {cid!r} is listed in split "
@@ -288,10 +285,13 @@ def _check_splits(splits, manifest):
 
 
 def write_dataset(cases: list, splits: dict, out_dir):
-    """Write case directories plus a split manifest (splits.json); the
-    splits are checked as `read_dataset` checks them, and must list only
-    ids of `cases`, before anything is written."""
+    """Write case directories plus a split manifest (splits.json); every
+    case id must be a plain directory name, and the splits are checked as
+    `read_dataset` checks them and must list only ids of `cases`, before
+    anything is written."""
     out_dir = Path(out_dir)
+    for case in cases:
+        _check_case_id(case.id, out_dir)
     listed = _check_splits(splits, out_dir / "splits.json")
     unknown = sorted(set(listed) - {case.id for case in cases})
     if unknown:
@@ -329,7 +329,7 @@ def read_dataset(data_dir):
 
 # -- dataset splits --------------------------------------------------------
 
-def split_dataset(cases: list, ratios=(0.8, 0.1, 0.1), seed: int = 0):
+def split_dataset(cases: list, ratios, seed: int):
     """Disjoint (train, val, test) partition with a seed-deterministic shuffle."""
     if not cases:
         raise ValueError("empty case list")

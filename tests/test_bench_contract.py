@@ -51,7 +51,8 @@ def test_traced_desk_step_counts_its_tape_before_the_backward(head, path,
     tracer = tracing.Tracer()
     with tracing.instrument(tracer, path):
         out, leaves = model.forward(x, trainable=True)
-        total, _ = obj.total_loss(out, g, leaves.get("es.alpha_logits"))
+        total, _ = obj.total_loss(out, g, leaves.get("es.alpha_logits"),
+                                  lam=TrainConfig().lam)
         total.backward()
     assert tracer.counts[(path, "tensor_core.tape_nodes")] == nodes
     if head == "evidential":

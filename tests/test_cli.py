@@ -4,6 +4,7 @@ import json
 import re
 import shlex
 import shutil
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -23,10 +24,9 @@ from helpers import rewrite_header
 # a valid value other than the default for every accepted key
 NON_DEFAULT = {
     "channels": [2, 4], "head": "softmax", "prototypes": 3,
-    "alpha_init": 0.25, "gamma_init": 0.04, "lambda": 1e-4,
-    "dice_mode": "singleton", "lr": 1e-2, "epochs": 3, "batch_size": 4,
-    "patch_dims": [16, 16, 16], "seed": 1, "adam": [0.8, 0.99, 1e-7],
-    "lesion_patch_fraction": 0.25,
+    "alpha_init": 0.25, "gamma_init": 0.04, "lambda": 1e-4, "lr": 1e-2,
+    "epochs": 3, "batch_size": 4, "patch_dims": [16, 16, 16], "seed": 1,
+    "adam": [0.8, 0.99, 1e-7], "lesion_patch_fraction": 0.25,
 }
 
 
@@ -52,6 +52,30 @@ class TestRunConfig:
     def test_every_key_changes_the_run(self, section, key):
         config = RunConfig({section: {key: NON_DEFAULT[key]}})
         assert resolved(config) != resolved(RunConfig({}))
+
+    def test_every_field_is_set_by_exactly_one_key(self):
+        default = resolved(RunConfig({}))[:2]
+        setters = {}  # field name -> the keys that changed it
+        for section, keys in SECTIONS.items():
+            for key in keys:
+                config = RunConfig({section: {key: NON_DEFAULT[key]}})
+                for built, base in zip(resolved(config)[:2], default):
+                    for f in fields(built):
+                        if getattr(built, f.name) != getattr(base, f.name):
+                            setters.setdefault(f.name, []).append(key)
+        names = [f.name for cls in (TrainConfig, BackboneConfig)
+                 for f in fields(cls)]
+        assert {name: len(setters.get(name, [])) for name in names} == \
+            dict.fromkeys(names, 1)
+
+    @pytest.mark.parametrize("section,key", [
+        ("es", "prototypes"), ("es", "alpha_init"), ("es", "gamma_init"),
+        ("loss", "lambda")])
+    def test_softmax_head_rejects_evidential_keys(self, section, key):
+        doc = {"es": {"head": "softmax"}}
+        doc.setdefault(section, {})[key] = NON_DEFAULT[key]
+        with pytest.raises(ConfigError, match=re.escape(f"{section}.{key}")):
+            RunConfig(doc)
 
     @pytest.mark.parametrize("section,key", [("train", "learnig_rate"),
                                              ("backbone", "in_channels")])
@@ -405,14 +429,26 @@ class TestReproduceCommand:
         assert e.value.code == 2
 
 
+def readme_blocks(info):
+    """The bodies of the README's fenced blocks whose info string matches
+    the regular expression `info`."""
+    readme = (Path(__file__).resolve().parent.parent
+              / "README.md").read_text()
+    return re.findall(rf"^```{info}\n(.*?)^```", readme, flags=re.M | re.S)
+
+
+def test_readme_config_example_parses():
+    blocks = readme_blocks("json")
+    assert blocks
+    for block in blocks:
+        resolved(RunConfig(json.loads(block)))
+
+
 def test_readme_commands_parse():
     # every `evidseg ...` line in the README's fenced blocks, in either the
     # installed or the plain-checkout form, names flags the parser accepts
-    readme = (Path(__file__).resolve().parent.parent
-              / "README.md").read_text()
     commands = set()
-    for block in re.findall(r"^```[^\n]*\n(.*?)^```", readme,
-                            flags=re.M | re.S):
+    for block in readme_blocks(r"[^\n]*"):
         for line in block.replace("\\\n", " ").splitlines():
             words = shlex.split(line) if "evidseg" in line else []
             for program in ("evidseg", "evidseg.cli"):

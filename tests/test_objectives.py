@@ -132,11 +132,6 @@ class TestTotalLoss:
         assert 0.0 <= br["loss_u"] <= 1.0
         assert br["loss_reg"] >= 0.0
 
-    def test_unknown_dice_mode_rejected(self):
-        masses, g, es = self.random_mass_map(5)
-        with pytest.raises(ValueError):
-            total_loss(masses, g, es["es.alpha_logits"], dice_mode="argmax")
-
 
 class TestSegmentationMaps:
     def test_channel_selection(self):
@@ -154,14 +149,8 @@ class TestSegmentationMaps:
         rng = np.random.default_rng(7)
         masses = Tensor(rng.uniform(0, 1, size=(1, 3, 2, 2, 2)))
         expected = masses.data[:, 0] + 0.5 * masses.data[:, 2]
-        np.testing.assert_allclose(lesion_map(masses, "pignistic").data,
+        np.testing.assert_allclose(lesion_map(masses).data,
                                    expected, atol=1e-12)
-
-    def test_singleton_mode_is_bare_lesion_mass(self):
-        rng = np.random.default_rng(8)
-        masses = Tensor(rng.uniform(0, 1, size=(1, 3, 2, 2, 2)))
-        np.testing.assert_array_equal(lesion_map(masses, "singleton").data,
-                                      masses.data[:, 0])
 
     def test_eps_constant(self):
         assert DICE_EPS == 1e-6

@@ -506,7 +506,8 @@ class TestBackwardConsumesTape:
         tracemalloc.start()
         try:
             out, leaves = model.forward(x, trainable=True)
-            total, _ = obj.total_loss(out, g, leaves.get("es.alpha_logits"))
+            total, _ = obj.total_loss(out, g, leaves.get("es.alpha_logits"),
+                                      lam=TrainConfig().lam)
             total.backward()
             current = tracemalloc.get_traced_memory()[0]
         finally:

@@ -9,8 +9,8 @@ import pytest
 
 from evidseg import gradcheck
 from evidseg.backbone_unet import BackboneConfig
-from evidseg.evidential_head import memberships, strengths
-from evidseg.objectives import dice_loss, lesion_map, total_loss
+from evidseg.evidential_head import LESION, memberships, strengths
+from evidseg.objectives import dice_loss, total_loss
 from evidseg.trainer import (Model, TrainConfig, TrainingError, adam_init,
                              adam_step, init_es_params, load_checkpoint,
                              prepare_case, sample_patch, save_checkpoint,
@@ -45,8 +45,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("kw", [dict(lr=0.0), dict(epochs=0),
                                     dict(prototypes=0), dict(alpha_init=1.0),
-                                    dict(gamma_init=-0.1),
-                                    dict(dice_mode="bogus")])
+                                    dict(gamma_init=-0.1)])
     def test_invalid_values_rejected(self, kw):
         with pytest.raises(ValueError):
             TrainConfig(**kw)
@@ -320,6 +319,18 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="m.evckpt"):
             load_checkpoint(ckpt)
 
+    def test_version_1_checkpoint_refused_as_unsupported(self, ckpt):
+        # a version-1 config holds a field that TrainConfig no longer has;
+        # the version check comes first, so the header is not malformed
+        def to_v1(header):
+            header["version"] = 1
+            header["config"]["retired_field"] = "pignistic"
+
+        rewrite_header(ckpt, to_v1)
+        with pytest.raises(ValueError,
+                           match="unsupported checkpoint version 1"):
+            load_checkpoint(ckpt)
+
     def test_unknown_config_key_rejected(self, ckpt):
         rewrite_header(ckpt, lambda h: h["config"].update(warmup=3))
         with pytest.raises(ValueError, match="warmup"):
@@ -448,8 +459,7 @@ class TestTrainLoop:
         assert len(log) == 1
         assert log[0]["loss_u"] == 0.0
 
-    @pytest.mark.parametrize("dice_mode", ["pignistic", "singleton"])
-    def test_softmax_objective_is_plain_dice(self, dice_mode):
+    def test_softmax_objective_is_plain_dice(self):
         # m(Omega) = 0, so the shared objective reduces exactly to the
         # Dice loss of m({a}); gradients must match bit for bit
         model = tiny_model(head="softmax")
@@ -459,12 +469,12 @@ class TestTrainLoop:
         x = rng.standard_normal((2, 2, 16, 16, 16))
         g = (rng.random((2, 16, 16, 16)) < 0.2).astype(np.float64)
         out, leaves = model.forward(x, trainable=True)
-        total, br = total_loss(out, g, None, lam=1e-3, dice_mode=dice_mode)
+        total, br = total_loss(out, g, None, lam=1e-3)
         assert br["loss_u"] == br["loss_reg"] == 0.0
         assert br["total"] == br["loss_d"] == float(total.data)
         total.backward()
         ref_out, ref_leaves = model.forward(x, trainable=True)
-        ref = dice_loss(lesion_map(ref_out, "singleton").reshape(2, -1),
+        ref = dice_loss(ref_out[:, LESION].reshape(2, -1),
                         g.reshape(2, -1))
         assert float(ref.data) == br["loss_d"]
         ref.backward()
@@ -472,11 +482,10 @@ class TestTrainLoop:
             np.testing.assert_array_equal(leaves[name].grad,
                                           ref_leaves[name].grad)
 
-    def test_softmax_log_ignores_dice_mode_and_lambda(self):
+    def test_softmax_log_ignores_lambda(self):
         cases = tiny_cases(3)
         logs = []
-        for kw in ({"dice_mode": "pignistic"},
-                   {"dice_mode": "singleton", "lam": 0.1}):
+        for kw in ({}, {"lam": 0.1}):
             config = tiny_config(epochs=1, **kw)
             model = tiny_model(head="softmax", config=config)
             logs.append(train(model, cases[:2], cases[2:], config,

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from evidseg import volume_io
-from evidseg.volume_io import (PatientCase, PhantomParams, Volume,
+from evidseg.volume_io import (PEAK_SUV, PatientCase, Volume,
                                VolumeFormatError, generate_phantom, read_case,
                                read_dataset, read_volume, split_dataset,
                                write_case, write_dataset, write_framed,
@@ -164,14 +164,14 @@ class TestPhantom:
         assert 0.0 < frac < 0.3
 
     def test_mask_voxels_reach_lesion_threshold(self):
-        # without noise, every mask voxel carries at least 40% of the
-        # minimum lesion peak on top of the body background
-        params = PhantomParams(pet_noise_sd=0.0, ct_noise_sd=0.0)
+        # every mask voxel carries at least 40% of the minimum lesion peak
+        # on top of the body background of SUV 1, far more than the noise
+        # takes away
         for seed in range(5):
-            case = generate_phantom(seed, (24, 24, 24), (1, 3), params)
+            case = generate_phantom(seed, (24, 24, 24), (1, 3))
             mask = case.mask.voxels.astype(bool)
             if mask.any():
-                threshold = 0.4 * params.peak_suv_range[0]
+                threshold = 0.4 * PEAK_SUV[0]
                 assert case.pet.voxels[mask].min() >= threshold
 
     def test_small_dims_rejected(self):
@@ -193,13 +193,13 @@ class TestSplit:
         assert len(train) == 5 and not val and not test
 
     def test_determinism(self):
-        a = split_dataset(list(range(20)), seed=3)
-        b = split_dataset(list(range(20)), seed=3)
+        a = split_dataset(list(range(20)), (0.8, 0.1, 0.1), 3)
+        b = split_dataset(list(range(20)), (0.8, 0.1, 0.1), 3)
         assert a == b
 
     def test_partition_property(self):
         cases = list(range(37))
-        train, val, test = split_dataset(cases, seed=11)
+        train, val, test = split_dataset(cases, (0.8, 0.1, 0.1), 11)
         combined = train + val + test
         assert sorted(combined) == cases
         assert len(set(combined)) == len(cases)
@@ -280,6 +280,18 @@ class TestDatasetDir:
                            match="splits.json: case 'c' .*'train' .*'val'"):
             write_dataset([case], {"train": ["c"], "val": ["c"]},
                           tmp_path / "ds")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("cid", ["../escaped", "", ".."])
+    def test_unlisted_case_with_path_id_not_written(self, tmp_path, cid):
+        # the splits name only "c"; the other case's id would put its
+        # directory outside the dataset
+        a, b = (generate_phantom(s, (16, 16, 16), (1, 2)) for s in (0, 1))
+        a.id, b.id = "c", cid
+        with pytest.raises(VolumeFormatError,
+                           match=f"case id {re.escape(repr(cid))} is not a "
+                                 f"plain directory name"):
+            write_dataset([a, b], {"train": ["c"]}, tmp_path / "root" / "ds")
         assert list(tmp_path.iterdir()) == []
 
     def test_split_of_unwritten_case_not_written(self, tmp_path):
