@@ -10,7 +10,7 @@ import pytest
 from evidseg import gradcheck
 from evidseg.backbone_unet import BackboneConfig
 from evidseg.evidential_head import LESION, memberships, strengths
-from evidseg.objectives import dice_loss, total_loss
+from evidseg.objectives import dice_loss, lesion_map, total_loss
 from evidseg.trainer import (Model, TrainConfig, TrainingError, adam_init,
                              adam_step, init_es_params, load_checkpoint,
                              prepare_case, sample_patch, save_checkpoint,
@@ -459,9 +459,13 @@ class TestTrainLoop:
         assert len(log) == 1
         assert log[0]["loss_u"] == 0.0
 
-    def test_softmax_objective_is_plain_dice(self):
+    @pytest.mark.parametrize("reference", [
+        "pignistic", "singleton"])
+    def test_softmax_objective_is_plain_dice(self, reference):
         # m(Omega) = 0, so the shared objective reduces exactly to the
-        # Dice loss of m({a}); gradients must match bit for bit
+        # Dice loss of m({a}), whether the reference Dice is scored on the
+        # pignistic map or on the bare lesion mass; gradients must match
+        # bit for bit
         model = tiny_model(head="softmax")
         model.params = {k: v.astype(np.float64)
                         for k, v in model.params.items()}
@@ -474,8 +478,9 @@ class TestTrainLoop:
         assert br["total"] == br["loss_d"] == float(total.data)
         total.backward()
         ref_out, ref_leaves = model.forward(x, trainable=True)
-        ref = dice_loss(ref_out[:, LESION].reshape(2, -1),
-                        g.reshape(2, -1))
+        ref_map = (lesion_map(ref_out) if reference == "pignistic"
+                   else ref_out[:, LESION])
+        ref = dice_loss(ref_map.reshape(2, -1), g.reshape(2, -1))
         assert float(ref.data) == br["loss_d"]
         ref.backward()
         for name in ("head.w", "head.b", "enc0.conv0.w"):
