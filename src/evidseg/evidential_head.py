@@ -200,14 +200,6 @@ def es_forward(features: Tensor, params) -> Tensor:
 
 # -- decision layer --------------------------------------------------------
 
-def pignistic_lesion(masses: np.ndarray) -> np.ndarray:
-    """p(lesion) = m({a}) + m(Omega)/2 for mass arrays (..., 3), computed as
-    1/2 + (m({a}) - m({b}))/2: equal on normalized masses, and at most 1/2
-    wherever m({a}) <= m({b}), also where fused masses sum to an ulp over
-    1 and the first form lands an ulp over 1/2."""
-    return 0.5 + 0.5 * (masses[..., LESION] - masses[..., BACKGROUND])
-
-
 def decide(masses: np.ndarray):
     """Mass array (..., 3) -> (binary, three-way, uncertainty) maps.
 

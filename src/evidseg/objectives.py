@@ -63,8 +63,8 @@ def lesion_map(mass_map: Tensor) -> Tensor:
     """Soft lesion probability S = m({a}) + m(Omega)/2 from a (N, 3, X, Y, Z)
     mass tensor.
 
-    On normalized masses S equals `evidential_head.pignistic_lesion`'s
-    1/2 + (m({a}) - m({b}))/2; the two differ only by the rounding of the
-    mass sum.
+    On normalized masses S equals 1/2 + (m({a}) - m({b}))/2, so S > 1/2
+    where m({a}) > m({b}), the comparison `evidential_head.decide` makes;
+    the two differ only by the rounding of the mass sum.
     """
     return mass_map[:, LESION] + 0.5 * mass_map[:, IGNORANCE]

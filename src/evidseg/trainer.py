@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
@@ -90,6 +91,20 @@ def head_shapes(head: str, feature_dim: int, prototypes: int) -> dict:
     return {"head.w": (2, c, 1, 1, 1), "head.b": (2,)}
 
 
+def param_shapes(backbone_config: bb.BackboneConfig, head: str,
+                 prototypes: int) -> dict:
+    """Name -> shape of every tensor of a model, as `Model.create` makes
+    them; a ValueError for a head not in HEADS."""
+    if head not in HEADS:
+        raise ValueError(f"unknown head {head!r}")
+    shapes = {}
+    for name, shape in bb._conv_shapes(backbone_config):
+        shapes[f"{name}.w"] = shape
+        shapes[f"{name}.b"] = (shape[0],)
+    shapes.update(head_shapes(head, backbone_config.feature_dim, prototypes))
+    return shapes
+
+
 def init_es_params(config: TrainConfig, feature_dim: int, seed: int) -> dict:
     """The four `es.*` arrays: uniform random prototypes and membership
     logits; alpha and gamma at their configured constants."""
@@ -129,8 +144,7 @@ class Model:
     @classmethod
     def create(cls, backbone_config: bb.BackboneConfig, head: str,
                train_config: TrainConfig, seed: int):
-        if head not in HEADS:
-            raise ValueError(f"unknown head {head!r}")
+        shapes = param_shapes(backbone_config, head, train_config.prototypes)
         params = bb.init_backbone(backbone_config,
                                   derive_seed(seed, "backbone"), np.float32)
         c = backbone_config.feature_dim
@@ -138,12 +152,11 @@ class Model:
             params.update(init_es_params(train_config, c,
                                          derive_seed(seed, "es")))
         else:
-            shape = head_shapes(head, c, train_config.prototypes)
             rng = np.random.default_rng(derive_seed(seed, "softmax-head"))
             bound = np.sqrt(6.0 / c)
-            w = rng.uniform(-bound, bound, size=shape["head.w"])
+            w = rng.uniform(-bound, bound, size=shapes["head.w"])
             params["head.w"] = w.astype(np.float32)
-            params["head.b"] = np.zeros(shape["head.b"], dtype=np.float32)
+            params["head.b"] = np.zeros(shapes["head.b"], dtype=np.float32)
         return cls(backbone_config, head, params)
 
     def forward(self, x: np.ndarray, trainable: bool = False):
@@ -227,13 +240,20 @@ def sample_patch(x: np.ndarray, g: np.ndarray, patch_dims, rng,
 
 # -- checkpointing ---------------------------------------------------------
 
-def save_checkpoint(path, model: Model, config: TrainConfig, epoch: int):
-    names = sorted(model.params)
+def _manifest(shapes: dict) -> list:
+    """A checkpoint's `tensors` list for tensors of these shapes: the names
+    sorted, each with its shape and the byte offset at which it lies, the
+    tensors back to back as float32."""
     tensors, offset = [], 0
-    for name in names:
-        shape = list(model.params[name].shape)
+    for name in sorted(shapes):
+        shape = list(shapes[name])
         tensors.append({"name": name, "shape": shape, "offset": offset})
         offset += 4 * math.prod(shape)
+    return tensors
+
+
+def save_checkpoint(path, model: Model, config: TrainConfig, epoch: int):
+    tensors = _manifest({k: v.shape for k, v in model.params.items()})
     write_framed(path, CKPT_MAGIC, {
         "version": CKPT_VERSION,
         "epoch": epoch,
@@ -242,10 +262,13 @@ def save_checkpoint(path, model: Model, config: TrainConfig, epoch: int):
         "in_channels": bb.IN_CHANNELS,
         "config": {**config.__dict__, "patch_dims": list(config.patch_dims)},
         "tensors": tensors,
-    }, [model.params[name] for name in names])
+    }, [model.params[t["name"]] for t in tensors])
 
 
 def load_checkpoint(path):
+    """(model, config, epoch) of a file that `save_checkpoint` wrote; its
+    `tensors` must be the manifest that `save_checkpoint` writes for the
+    model its header names, and its payload exactly that long."""
     header, blob = read_framed(path, CKPT_MAGIC)
     if header.get("version") != CKPT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version "
@@ -256,54 +279,26 @@ def load_checkpoint(path):
             channels=tuple(header["backbone_channels"]))
         in_channels = header["in_channels"]
         head, epoch = header["head"], header["epoch"]
-        manifest = [(t["name"], t["offset"]) for t in header["tensors"]]
-        found = {t["name"]: tuple(t["shape"]) for t in header["tensors"]}
+        if not isinstance(tensors := header["tensors"], list):
+            raise TypeError("tensors is not a list")
+        shapes = param_shapes(backbone_config, head, config.prototypes)
     except (KeyError, TypeError, ValueError) as e:
         raise ValueError(f"{path}: malformed checkpoint header: {e!r}") from None
     if in_channels != bb.IN_CHANNELS:
         raise ValueError(f"{path}: in_channels {in_channels!r}, expected "
                          f"{bb.IN_CHANNELS} (PET and CT)")
-    shapes = _expected_shapes(path, head, backbone_config, config.prototypes,
-                              found)
-    # save_checkpoint lays the tensors back to back in manifest order
-    params, offset = {}, 0
-    for name, start in manifest:
-        if name in params:
-            raise ValueError(f"{path}: tensor {name!r} listed twice")
-        if start != offset:
-            raise ValueError(f"{path}: tensor {name!r} at offset {start}, "
-                             f"expected {offset}")
-        end = offset + 4 * math.prod(shapes[name])
-        if end > len(blob):
-            raise ValueError(f"{path}: blob truncated at tensor {name!r}")
-        params[name] = np.frombuffer(
-            blob[offset:end], dtype="<f4").reshape(shapes[name]).copy()
-        offset = end
-    if offset != len(blob):
-        raise ValueError(f"{path}: blob length does not match manifest")
+    expected = _manifest(shapes)
+    if tensors != expected:
+        i, found, want = next((i, a, b) for i, (a, b) in enumerate(
+            zip_longest(tensors, expected, fillvalue="nothing")) if a != b)
+        raise ValueError(f"{path}: tensors[{i}] is {found}, expected {want}")
+    size = 4 * sum(math.prod(s) for s in shapes.values())
+    if len(blob) != size:
+        raise ValueError(f"{path}: blob length {len(blob)}, expected {size}")
+    params = {t["name"]: np.frombuffer(blob, "<f4", math.prod(t["shape"]),
+                                       t["offset"]).reshape(t["shape"]).copy()
+              for t in expected}
     return Model(backbone_config, head, params), config, epoch
-
-
-def _expected_shapes(path, head, backbone_config, prototypes, found: dict):
-    """The tensor shapes init makes for this model; rejects an unknown head
-    and a manifest (`found`, name -> shape) that differs from them."""
-    if head not in HEADS:
-        raise ValueError(f"{path}: checkpoint has unknown head {head!r}")
-    expected = {}
-    for name, shape in bb._conv_shapes(backbone_config):
-        expected[f"{name}.w"] = shape
-        expected[f"{name}.b"] = (shape[0],)
-    expected.update(head_shapes(head, backbone_config.feature_dim, prototypes))
-    for name, shape in expected.items():
-        if name not in found:
-            raise ValueError(f"{path}: checkpoint missing tensor {name!r}")
-        if found[name] != shape:
-            raise ValueError(f"{path}: checkpoint tensor {name!r} has shape "
-                             f"{found[name]}, expected {shape}")
-    extra = sorted(found.keys() - expected.keys())
-    if extra:
-        raise ValueError(f"{path}: checkpoint has unexpected tensor(s) {extra}")
-    return expected
 
 
 # -- training loop ---------------------------------------------------------

@@ -286,14 +286,19 @@ def _check_splits(splits, manifest):
 
 def write_dataset(cases: list, splits: dict, out_dir):
     """Write case directories plus a split manifest (splits.json); every
-    case id must be a plain directory name, and the splits are checked as
-    `read_dataset` checks them and must list only ids of `cases`, before
-    anything is written."""
+    case id must be a plain directory name given to one case only, and the
+    splits are checked as `read_dataset` checks them and must list only ids
+    of `cases`, before anything is written."""
     out_dir = Path(out_dir)
+    ids = set()
     for case in cases:
         _check_case_id(case.id, out_dir)
+        if case.id in ids:
+            raise VolumeFormatError(
+                f"{out_dir}: case id {case.id!r} given to two cases")
+        ids.add(case.id)
     listed = _check_splits(splits, out_dir / "splits.json")
-    unknown = sorted(set(listed) - {case.id for case in cases})
+    unknown = sorted(set(listed) - ids)
     if unknown:
         raise VolumeFormatError(
             f"{out_dir / 'splits.json'}: lists cases not being written: "

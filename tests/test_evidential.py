@@ -9,7 +9,7 @@ from evidseg.evidential_head import (BACKGROUND, CODE_BACKGROUND, CODE_IGNORANCE
                                      CODE_LESION, IGNORANCE, K, LESION, bba,
                                      decide, dempster_fuse,
                                      distance_activation, es_forward,
-                                     memberships, pignistic_lesion, strengths)
+                                     memberships, strengths)
 from evidseg.tensor_core import Tensor
 from helpers import (fuse_bbas, powerset_fuse, random_es_params,
                      random_simple_bba, tape_dempster_fuse, tape_es_forward)
@@ -310,7 +310,6 @@ class TestDempsterFuse:
                         axis=-1)
         fused = fuse_bbas(bbas)
         assert fused[LESION] <= fused[BACKGROUND]
-        assert pignistic_lesion(fused) <= 0.5
         assert decide(fused)[0] == 0.0
 
     def test_tie_whose_masses_sum_over_one_is_background(self):
@@ -325,7 +324,6 @@ class TestDempsterFuse:
         assert fused[LESION] == fused[BACKGROUND] == 0.4964037351347463
         assert fused.sum() == 1.0 + 2.0 ** -52
         assert fused[LESION] + 0.5 * fused[IGNORANCE] > 0.5
-        assert pignistic_lesion(fused) == 0.5
         binary, three_way, _ = decide(fused)
         assert binary == 0.0
         assert three_way == CODE_BACKGROUND
@@ -489,10 +487,6 @@ class TestDecide:
         np.testing.assert_array_equal(
             three_way, [CODE_BACKGROUND, CODE_LESION, CODE_BACKGROUND,
                         CODE_BACKGROUND])
-
-    def test_pignistic_values(self):
-        masses = np.array([[0.4, 0.4, 0.2], [0.1, 0.3, 0.6]])
-        np.testing.assert_allclose(pignistic_lesion(masses), [0.5, 0.4])
 
     def test_codes_cover_all_outcomes(self):
         masses = np.array([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1],

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from evidseg import gradcheck
-from evidseg.backbone_unet import BackboneConfig
+from evidseg.backbone_unet import DESK_CHANNELS, FULL_CHANNELS, BackboneConfig
 from evidseg.evidential_head import LESION, memberships, strengths
 from evidseg.objectives import dice_loss, lesion_map, total_loss
-from evidseg.trainer import (Model, TrainConfig, TrainingError, adam_init,
-                             adam_step, init_es_params, load_checkpoint,
-                             prepare_case, sample_patch, save_checkpoint,
-                             train)
+from evidseg.trainer import (HEADS, Model, TrainConfig, TrainingError,
+                             adam_init, adam_step, init_es_params,
+                             load_checkpoint, param_shapes, prepare_case,
+                             sample_patch, save_checkpoint, train)
 from evidseg.volume_io import PatientCase, Volume, generate_phantom
 from helpers import rewrite_header
 
@@ -365,18 +365,65 @@ class TestCheckpoint:
 
         rewrite_header(ckpt, duplicate)
         ckpt.write_bytes(ckpt.read_bytes() + bytes(8))
-        with pytest.raises(ValueError, match="twice"):
+        with pytest.raises(ValueError,
+                           match=r"tensors\[1\] is \{'name': 'dec0.conv0.b'"):
             load_checkpoint(ckpt)
 
     def test_negative_offset_rejected(self, ckpt):
         rewrite_header(ckpt, lambda h: h["tensors"][-1].update(offset=-4))
-        with pytest.raises(ValueError, match="offset -4"):
+        with pytest.raises(ValueError, match="'offset': -4"):
             load_checkpoint(ckpt)
 
     def test_other_input_channel_count_rejected(self, ckpt):
         rewrite_header(ckpt, lambda h: h.update(in_channels=3))
         with pytest.raises(ValueError, match="m.evckpt: in_channels 3"):
             load_checkpoint(ckpt)
+
+    def test_reordered_manifest_rejected(self, ckpt):
+        # offsets recomputed for the reversed order, so that the entries
+        # tile the payload and each tensor would read another's bytes
+        def reverse(header):
+            offset = 0
+            for t in header["tensors"][::-1]:
+                t["offset"] = offset
+                offset += 4 * math.prod(t["shape"])
+            header["tensors"].reverse()
+
+        rewrite_header(ckpt, reverse)
+        with pytest.raises(ValueError,
+                           match=r"m.evckpt: tensors\[0\] is .*'final.w'"):
+            load_checkpoint(ckpt)
+
+    def test_entry_with_extra_key_rejected(self, ckpt):
+        # the payload is float32 whatever an entry claims
+        rewrite_header(ckpt, lambda h: h["tensors"][0].update(dtype="f16"))
+        with pytest.raises(ValueError,
+                           match=r"m.evckpt: tensors\[0\] .*'dtype': 'f16'"):
+            load_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("tensors", [
+        None, 5, "enc0.conv0.w", {"enc0.conv0.w": [2, 2, 3, 3, 3]}])
+    def test_tensors_not_a_list_is_malformed(self, ckpt, tensors):
+        rewrite_header(ckpt, lambda h: h.update(tensors=tensors))
+        with pytest.raises(ValueError,
+                           match="m.evckpt: malformed checkpoint header"):
+            load_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("head", HEADS)
+    def test_loaded_checkpoint_saves_byte_identical(self, tmp_path, head):
+        path, again = tmp_path / "a.evckpt", tmp_path / "b.evckpt"
+        save_checkpoint(path, tiny_model(head), tiny_config(), epoch=3)
+        save_checkpoint(again, *load_checkpoint(path))
+        assert again.read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("channels", [DESK_CHANNELS, FULL_CHANNELS])
+    @pytest.mark.parametrize("head", HEADS)
+    def test_create_makes_param_shapes(self, head, channels):
+        # the layout that load_checkpoint requires is the one init makes
+        backbone = BackboneConfig(channels=channels)
+        model = Model.create(backbone, head, tiny_config(), seed=0)
+        assert ({k: v.shape for k, v in model.params.items()}
+                == param_shapes(backbone, head, tiny_config().prototypes))
 
 
 class TestTrainLoop:

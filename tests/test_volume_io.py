@@ -294,6 +294,15 @@ class TestDatasetDir:
             write_dataset([a, b], {"train": ["c"]}, tmp_path / "root" / "ds")
         assert list(tmp_path.iterdir()) == []
 
+    def test_repeated_case_id_not_written(self, tmp_path):
+        # the second case would replace the first in its directory
+        a, b = (generate_phantom(s, (16, 16, 16), (1, 2)) for s in (0, 1))
+        a.id = b.id = "c"
+        with pytest.raises(VolumeFormatError,
+                           match="ds: case id 'c' given to two cases"):
+            write_dataset([a, b], {"train": ["c"]}, tmp_path / "ds")
+        assert list(tmp_path.iterdir()) == []
+
     def test_split_of_unwritten_case_not_written(self, tmp_path):
         case = generate_phantom(0, (16, 16, 16), (1, 2))
         case.id = "c"
