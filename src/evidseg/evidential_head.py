@@ -71,12 +71,16 @@ def distance_activation(features: Tensor, prototypes, gamma_roots) -> Tensor:
             f"feature dim {f.shape[1]} != prototype dim {p.shape[1]}")
     fd, pd = f.data, p.data
     gamma = (eta.data * eta.data)[:, None]  # (I, 1)
-    d2 = pd @ fd  # (N, I, V), then |f|^2 - 2 f.p_i + |p_i|^2 in place
-    d2 *= -2.0
-    d2 += np.einsum("ncv,ncv->nv", fd, fd)[:, None]
-    d2 += np.einsum("ic,ic->i", pd, pd)[:, None]
-    np.maximum(d2, 0.0, out=d2)  # the expansion can round below 0; keep s <= 1
-    s = d2 * -gamma
+
+    def sq_dist():
+        d2 = pd @ fd  # (N, I, V), then |f|^2 - 2 f.p_i + |p_i|^2 in place
+        d2 *= -2.0
+        d2 += np.einsum("ncv,ncv->nv", fd, fd)[:, None]
+        d2 += np.einsum("ic,ic->i", pd, pd)[:, None]
+        # the expansion can round below 0; keep s <= 1
+        return np.maximum(d2, 0.0, out=d2)
+
+    s = sq_dist() * -gamma
     np.exp(s, out=s)
 
     def backward(g):
@@ -84,7 +88,9 @@ def distance_activation(features: Tensor, prototypes, gamma_roots) -> Tensor:
         q = g * s
         gf = gp = geta = None
         if eta.requires_grad:
-            geta = -2.0 * np.einsum("niv,niv->i", q, d2) * eta.data
+            # d2 is recomputed, not kept from the forward: the same values,
+            # finite where gamma is 0 or s underflows, unlike -log(s)/gamma
+            geta = -2.0 * np.einsum("niv,niv->i", q, sq_dist()) * eta.data
         q *= -gamma  # now dL/d(d2)
         if f.requires_grad:
             gf = 2.0 * (fd * q.sum(axis=1, keepdims=True) - pd.T @ q)

@@ -12,8 +12,9 @@ conv3d is a tap-folded GEMM for the forward and both gradients: for one
 cache-sized slab of output x-planes at a time, only the k z-shifts of each
 zero-padded channel are copied, the k^2 (x, y) taps are strided views of
 that copy, and one batched BLAS product per slab multiplies each tap by
-its slice of the kernel; the tap products are summed into the output (or
-the weight gradient) before the next slab. `as_tensor` turns any other
+its slice of the kernel; one BLAS gemv with ones(k^2) sums the tap
+products into the slab's output (the weight gradient adds them into its
+own taps) before the next slab. `as_tensor` turns any other
 operand into a constant Tensor.
 
 A node keeps its parents and its backward only when a parent requires a
@@ -58,10 +59,11 @@ class NonFiniteError(ArithmeticError):
         self.op = op
 
 
-# about the bytes of z-shift rows and tap products one conv3d slab holds, so
-# that they are still in L2 when read back; on a 2 MiB L2, a sweep over
-# 128 KiB-4 MiB ran as fast at 768 KiB-1 MiB, about 1.1x slower at
-# 128-512 KiB and 2 MiB, and 1.5-1.9x slower at 4 MiB
+# about the bytes of z-shift rows, tap products and their sum one conv3d
+# slab holds, so that they are still in L2 when read back; on a 2 MiB L2
+# (one BLAS thread, float32), a sweep over 128 KiB-4 MiB of the backbone's
+# layers ran fastest at 768 KiB-1 MiB: 1.01-1.07x slower at 512 KiB and
+# 1.5 MiB, 1.1-1.2x at 256 KiB and 2 MiB, and 1.3-1.7x at 3-4 MiB
 _SLAB_BYTES = 3 << 18
 
 
@@ -302,6 +304,14 @@ def concat(tensors, axis):
 
 # -- spatial ops (N, C, X, Y, Z) ------------------------------------------
 
+def _slab_planes(x, k, o):
+    """Output x-planes per slab of `_slabs(x, k, o)`, one at least."""
+    c, sx, sy, sz = x.shape[1:]
+    plane = (sy + k - 1) * (sz + k - 1)
+    return min(sx, max(1, _SLAB_BYTES
+                       // ((k * c + (k * k + 1) * o) * plane * x.itemsize)))
+
+
 def _slabs(x, k, o):
     """The z-shifted rows of x (N, C, X, Y, Z), zero-padded by p = k // 2,
     one slab of output x-planes at a time, with every (dx, dy) tap as a
@@ -316,7 +326,8 @@ def _slabs(x, k, o):
     One buffer of k*C rows serves every slab. Each row is one contiguous
     run of a padded channel, so a slab copies k shifts of the input where
     an im2col patch matrix copies k^3. A slab holds about _SLAB_BYTES of
-    that buffer and of the (k, k, O, L) tap products, one x-plane at least.
+    that buffer, of the (k, k, O, L) tap products and of their (O, L) sum,
+    one x-plane at least.
     """
     n, c, sx, sy, sz = x.shape
     p = k // 2
@@ -330,8 +341,7 @@ def _slabs(x, k, o):
                      writeable=False)
     # tap (dx, dy) reads dx*plane + dy*pz columns past its output column
     reach = (k - 1) * (plane + pz)
-    planes = min(sx, max(1, _SLAB_BYTES
-                         // ((k * c + k * k * o) * plane * xp.itemsize)))
+    planes = _slab_planes(x, k, o)
     width = planes * plane - (k - 1) * (pz + 1) + reach
     buf = np.empty((k * c, width), dtype=x.dtype)
     taps = as_strided(buf, (k, k, k * c, width - reach),
@@ -358,14 +368,24 @@ def _correlate(x, w, b=None):
     """
     n, c, sx, sy, sz = x.shape
     o, k = w.shape[0], w.shape[2]
-    plane = (sy + k - 1) * (sz + k - 1)
+    pz = sz + k - 1
+    plane = (sy + k - 1) * pz
     # tap (dx, dy) as an (O, k*C) matrix over the (dz, c) rows of _slabs
     w_taps = w.transpose(2, 3, 0, 4, 1).reshape(k, k, o, k * c)
     out = np.empty((n, o, sx, sy, sz), dtype=np.result_type(x, w))
+    # the largest slab's k^2 tap products and their sum, O*L values each,
+    # reused by every slab
+    size = o * (_slab_planes(x, k, o) * plane - (k - 1) * (pz + 1))
+    prod, acc = np.empty(k * k * size, out.dtype), np.empty(size, out.dtype)
+    ones, s = np.ones(k * k, out.dtype), out.itemsize
     for i, x0, x1, taps in _slabs(x, k, o):
-        acc = np.empty((o, (x1 - x0) * plane), dtype=out.dtype)
-        np.matmul(w_taps, taps).sum(axis=(0, 1), out=acc[:, :taps.shape[3]])
-        y = _interior(acc, x1 - x0, sy, sz, k)
+        cols = taps.shape[3]
+        rows = prod[:k * k * o * cols].reshape(k * k, o * cols)
+        np.matmul(w_taps, taps, out=rows.reshape(k, k, o, cols))
+        y = np.dot(ones, rows, out=acc[:o * cols])
+        # the valid voxels of each output channel's padded-grid columns
+        y = np.ndarray((o, x1 - x0, sy, sz), y.dtype, y, 0,
+                       (cols * s, plane * s, pz * s, s))
         if b is None:
             out[i, :, x0:x1] = y
         else:

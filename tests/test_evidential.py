@@ -5,12 +5,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from evidseg import evidential_head as ev
+from evidseg import objectives as obj
+from evidseg.backbone_unet import BackboneConfig
 from evidseg.evidential_head import (BACKGROUND, CODE_BACKGROUND, CODE_IGNORANCE,
                                      CODE_LESION, IGNORANCE, K, LESION, bba,
                                      decide, dempster_fuse,
                                      distance_activation, es_forward,
                                      memberships, strengths)
-from evidseg.tensor_core import Tensor
+from evidseg.tensor_core import Tensor, as_tensor
+from evidseg.trainer import Model, TrainConfig
 from helpers import (fuse_bbas, powerset_fuse, random_es_params,
                      random_simple_bba, tape_dempster_fuse, tape_es_forward)
 
@@ -98,6 +102,63 @@ class TestDistanceActivation:
         s = distance_activation(Tensor(f.T[None]), f[:20],
                                 np.full(20, 3.0, np.float32)).data
         assert s.max() <= 1.0
+
+    def test_gamma_gradient_where_gamma_is_zero_or_s_underflows(self):
+        # the backward recomputes the squared distances d2 instead of
+        # keeping them; -log(s)/gamma would give NaN where gamma is 0 and
+        # inf where s underflows to 0
+        rng = np.random.default_rng(13)
+        f = Tensor(rng.standard_normal((2, 3, 50)))
+        p = rng.standard_normal((3, 3))
+        for roots in (np.zeros(3), np.array([0.0, 30.0, 1.0])):
+            eta = Tensor(roots, requires_grad=True)
+            s = distance_activation(f, p, eta)
+            (s * Tensor(rng.standard_normal(s.shape))).sum().backward()
+            assert np.isfinite(eta.grad).all()
+            np.testing.assert_array_equal(eta.grad == 0.0, roots == 0.0)
+        assert (s.data[:, 1] == 0.0).any()  # gamma 900 underflows s
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_desk_step_gradients_as_with_kept_distances(self, monkeypatch,
+                                                        seed):
+        # every leaf gradient of a desk evidential step at init, bit for
+        # bit, against the op with its gamma gradient taken from the d2
+        # that the forward computed and kept, as it was before d2 was
+        # recomputed in the backward
+        def step():
+            out, leaves = model.forward(x, trainable=True)
+            total, _ = obj.total_loss(out, g, leaves["es.alpha_logits"],
+                                      lam=TrainConfig().lam)
+            total.backward()
+            return {k: t.grad for k, t in leaves.items()}
+
+        def keeping_d2(features, prototypes, gamma_roots):
+            out = distance_activation(features, prototypes, gamma_roots)
+            f, p, eta = map(as_tensor, (features, prototypes, gamma_roots))
+            d2 = np.maximum(p.data @ f.data * -2.0
+                            + np.einsum("ncv,ncv->nv", f.data, f.data)[:, None]
+                            + np.einsum("ic,ic->i", p.data, p.data)[:, None],
+                            0.0)
+            backward = out._backward
+
+            def with_kept_d2(grad):
+                gf, gp, _ = backward(grad)
+                return gf, gp, -2.0 * np.einsum("niv,niv->i", grad * out.data,
+                                                d2) * eta.data
+            out._backward = with_kept_d2
+            return out
+
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((2, 2, 32, 32, 32)).astype(np.float32)
+        g = (rng.random((2, 32, 32, 32)) < 0.1).astype(np.float32)
+        model = Model.create(BackboneConfig(), "evidential", TrainConfig(),
+                             seed)
+        grads = step()
+        monkeypatch.setattr(ev, "distance_activation", keeping_d2)
+        kept = step()
+        assert set(grads) == set(kept) == set(model.params)
+        for name, grad in grads.items():
+            np.testing.assert_array_equal(grad, kept[name], err_msg=name)
 
 
 def prototype_masses(s, membership_logits, alpha_logits):

@@ -387,11 +387,12 @@ class TestConv3dSlabs:
     @staticmethod
     def force_planes(monkeypatch, planes, k):
         # the slab budget of `planes` x-planes of the float64 z-shift rows
-        # (k * 2 of them) and tap products (k^2 * 3 rows), each x-plane
-        # spanning the padded (3 + k - 1) * (4 + k - 1) grid
+        # (k * 2 of them), tap products (k^2 * 3 rows) and their sum
+        # (3 rows), each x-plane spanning the padded (3 + k - 1) * (4 + k - 1)
+        # grid
         n, c, sx, sy, sz = TestConv3dSlabs.SHAPE
         monkeypatch.setattr(tc, "_SLAB_BYTES", planes * (
-            k * c + k * k * TestConv3dSlabs.OUT)
+            k * c + (k * k + 1) * TestConv3dSlabs.OUT)
             * (sy + k - 1) * (sz + k - 1) * 8)
 
     @staticmethod
@@ -467,10 +468,11 @@ class TestConv3dSlabs:
         # - the input gradient, which becomes x.grad uncopied (x);
         # - one zero-padded copy of x or of g, at most (34/32)^3 * x;
         # - one slab of about _SLAB_BYTES: the z-shift rows (3 * 8 of them
-        #   over the padded 34^2 grid, with two x-planes of reach) and the
-        #   tap products, or g on the padded grid; the bound allows the
-        #   larger of _SLAB_BYTES and one x-plane of the 8*27 x 32^2 patch
-        #   matrix;
+        #   over the padded 34^2 grid, with two x-planes of reach), the tap
+        #   products (9 rows per output channel: 4 channels in the forward,
+        #   8 in the input gradient) and their gemv sum (one row per output
+        #   channel), or g on the padded grid; the bound allows the larger
+        #   of _SLAB_BYTES and one x-plane of the 8*27 x 32^2 patch matrix;
         # - 64 KiB for w, its gradient and small temporaries.
         rng = np.random.default_rng(10)
         x = Tensor(rng.standard_normal((2, 8, 32, 32, 32), dtype=np.float32),
@@ -524,7 +526,8 @@ class TestBackwardConsumesTape:
         # each step's tape lived until the next forward had built its own;
         # consumed, the peak is one step's: 74.9 MiB measured while `bba`
         # wrote (N, 3, I, V) mass planes and `dempster_fuse`'s backward their
-        # gradient, 49.9 MiB measured with the masses formed per prototype
+        # gradient, 49.9 MiB measured with the masses formed per prototype,
+        # 45.1 MiB with `distance_activation` recomputing d2 in its backward
         cases = [generate_phantom(derive_seed(0, f"desk:{i}"), (32, 32, 32),
                                   (1, 3)) for i in range(9)]
         config = TrainConfig(epochs=1, patch_dims=(32, 32, 32))
