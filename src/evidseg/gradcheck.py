@@ -360,9 +360,24 @@ def _with_fault(graph: Graph) -> Graph:
 
 
 def run_suite(names=None, instances=20, seed=0, inject_fault=None):
-    """Run the named cases (default: all); returns list of CaseResult."""
+    """Run the named cases (default: all); returns list of CaseResult.
+
+    Raises ValueError for fewer than one instance, or for a name to run or
+    to inject a fault into that is not one of the cases run.
+    """
+    if instances < 1:
+        raise ValueError(f"gradcheck needs at least 1 instance, "
+                         f"got {instances}")
+    names = list(names or CASES)
+    for name in names:
+        if name not in CASES:
+            raise ValueError(f"unknown gradcheck case {name!r}; "
+                             f"cases: {', '.join(CASES)}")
+    if inject_fault is not None and inject_fault not in names:
+        raise ValueError(f"no fault can be injected into {inject_fault!r}; "
+                         f"cases run: {', '.join(names)}")
     results = []
-    for name in (names or CASES):
+    for name in names:
         results.append(run_case(name, instances=instances, seed=seed,
                                 inject_fault=(name == inject_fault)))
     return results

@@ -38,7 +38,6 @@ perfbench's traced run wraps `tc.Graph` in place.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 
 class TensorError(ValueError):
@@ -305,11 +304,14 @@ def concat(tensors, axis):
 # -- spatial ops (N, C, X, Y, Z) ------------------------------------------
 
 def _slab_planes(x, k, o):
-    """Output x-planes per slab of `_slabs(x, k, o)`, one at least."""
+    """(planes, cols) of `_slabs(x, k, o)`: output x-planes per slab, one at
+    least, and a full slab's padded-grid columns, to its last valid voxel."""
     c, sx, sy, sz = x.shape[1:]
-    plane = (sy + k - 1) * (sz + k - 1)
-    return min(sx, max(1, _SLAB_BYTES
-                       // ((k * c + (k * k + 1) * o) * plane * x.itemsize)))
+    pz = sz + k - 1
+    plane = (sy + k - 1) * pz
+    planes = min(sx, max(1, _SLAB_BYTES
+                         // ((k * c + (k * k + 1) * o) * plane * x.itemsize)))
+    return planes, planes * plane - (k - 1) * (pz + 1)
 
 
 def _slabs(x, k, o):
@@ -321,7 +323,7 @@ def _slabs(x, k, o):
     [dx, dy] matrix holds, at row (dz, c) and column j, the padded input of
     batch item i that output column j meets through tap (dx, dy, dz).
     Output columns run over the padded (Y+2p, Z+2p) grid of x-planes x0:x1,
-    up to the last valid voxel; `_interior` picks out the valid ones.
+    up to the last valid voxel; `_valid` views the valid ones.
 
     One buffer of k*C rows serves every slab. Each row is one contiguous
     run of a padded channel, so a slab copies k shifts of the input where
@@ -335,31 +337,32 @@ def _slabs(x, k, o):
     plane = (sy + 2 * p) * pz
     xp = np.zeros((n, c, sx + 2 * p, sy + 2 * p, pz), dtype=x.dtype)
     xp[:, :, p:p + sx, p:p + sy, p:p + sz] = x
-    xp = xp.reshape(n, c, -1)
-    sn, sc, s = xp.strides
-    src = as_strided(xp, (n, k, c, xp.shape[2] - k + 1), (sn, s, sc, s),
-                     writeable=False)
+    length, s = xp[0, 0].size, xp.itemsize
+    src = np.ndarray((n, k, c, length - k + 1), x.dtype, xp, 0,
+                     (c * length * s, s, length * s, s))
     # tap (dx, dy) reads dx*plane + dy*pz columns past its output column
     reach = (k - 1) * (plane + pz)
-    planes = _slab_planes(x, k, o)
-    width = planes * plane - (k - 1) * (pz + 1) + reach
-    buf = np.empty((k * c, width), dtype=x.dtype)
-    taps = as_strided(buf, (k, k, k * c, width - reach),
-                      (plane * s, pz * s) + buf.strides, writeable=False)
+    planes, cols = _slab_planes(x, k, o)
+    buf = np.empty((k * c, cols + reach), dtype=x.dtype)
+    taps = np.ndarray((k, k, k * c, cols), x.dtype, buf, 0,
+                      (plane * s, pz * s) + buf.strides)
+    src.flags.writeable = taps.flags.writeable = False
     for i in range(n):
         for x0 in range(0, sx, planes):
             x1 = min(x0 + planes, sx)
-            cols = (x1 - x0) * plane - (k - 1) * (pz + 1)
-            np.copyto(buf[:, :cols + reach].reshape(k, c, -1),
-                      src[i, :, :, x0 * plane:x0 * plane + cols + reach])
-            yield i, x0, x1, taps[..., :cols]
+            m = cols - (x0 + planes - x1) * plane
+            np.copyto(buf[:, :m + reach].reshape(k, c, -1),
+                      src[i, :, :, x0 * plane:x0 * plane + m + reach])
+            yield i, x0, x1, taps[..., :m]
 
 
-def _interior(a, planes, sy, sz, k):
-    """The (rows, planes, sy, sz) valid voxels of a, whose columns run over
-    `planes` x-planes of the (sy + k - 1, sz + k - 1) padded grid."""
-    py, pz = sy + k - 1, sz + k - 1
-    return a[:, :planes * py * pz].reshape(-1, planes, py, pz)[:, :, :sy, :sz]
+def _valid(a, planes, sy, sz, k):
+    """The (rows, planes, sy, sz) valid voxels of the C-contiguous
+    (rows, L) array a, whose columns run over `planes` x-planes of the
+    (sy + k - 1, sz + k - 1) padded grid; a view of a's buffer."""
+    pz, s = sz + k - 1, a.itemsize
+    return np.ndarray((a.shape[0], planes, sy, sz), a.dtype, a, 0,
+                      (a.strides[0], (sy + k - 1) * pz * s, pz * s, s))
 
 
 def _correlate(x, w, b=None):
@@ -368,24 +371,20 @@ def _correlate(x, w, b=None):
     """
     n, c, sx, sy, sz = x.shape
     o, k = w.shape[0], w.shape[2]
-    pz = sz + k - 1
-    plane = (sy + k - 1) * pz
     # tap (dx, dy) as an (O, k*C) matrix over the (dz, c) rows of _slabs
     w_taps = w.transpose(2, 3, 0, 4, 1).reshape(k, k, o, k * c)
     out = np.empty((n, o, sx, sy, sz), dtype=np.result_type(x, w))
     # the largest slab's k^2 tap products and their sum, O*L values each,
     # reused by every slab
-    size = o * (_slab_planes(x, k, o) * plane - (k - 1) * (pz + 1))
+    size = o * _slab_planes(x, k, o)[1]
     prod, acc = np.empty(k * k * size, out.dtype), np.empty(size, out.dtype)
-    ones, s = np.ones(k * k, out.dtype), out.itemsize
+    ones = np.ones(k * k, out.dtype)
     for i, x0, x1, taps in _slabs(x, k, o):
         cols = taps.shape[3]
         rows = prod[:k * k * o * cols].reshape(k * k, o * cols)
         np.matmul(w_taps, taps, out=rows.reshape(k, k, o, cols))
-        y = np.dot(ones, rows, out=acc[:o * cols])
-        # the valid voxels of each output channel's padded-grid columns
-        y = np.ndarray((o, x1 - x0, sy, sz), y.dtype, y, 0,
-                       (cols * s, plane * s, pz * s, s))
+        y = np.dot(ones, rows, out=acc[:o * cols]).reshape(o, cols)
+        y = _valid(y, x1 - x0, sy, sz, k)
         if b is None:
             out[i, :, x0:x1] = y
         else:
@@ -408,14 +407,14 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor):
             w_flip = w.data.transpose(1, 0, 2, 3, 4)[:, :, ::-1, ::-1, ::-1]
             gx = _correlate(g, w_flip)
         if w.requires_grad:
-            # g's slab on the padded grid, zero off the valid voxels, times
-            # each tap's rows: gw_taps[dx, dy] is (O, k*C) over (dz, c)
+            # g's slab on the padded grid, zero off the valid voxels (a
+            # short last slab's are a subset of a full one's), times each
+            # tap's rows: gw_taps[dx, dy] is (O, k*C) over (dz, c)
             sy, sz = g.shape[3:]
-            plane = (sy + k - 1) * (sz + k - 1)
             gw_taps = np.zeros((k, k, o, k * cin), dtype=g.dtype)
+            g_pad = np.zeros((o, _slab_planes(x.data, k, o)[1]), g.dtype)
             for i, x0, x1, taps in _slabs(x.data, k, o):
-                g_pad = np.zeros((o, (x1 - x0) * plane), dtype=g.dtype)
-                _interior(g_pad, x1 - x0, sy, sz, k)[...] = g[i, :, x0:x1]
+                _valid(g_pad, x1 - x0, sy, sz, k)[...] = g[i, :, x0:x1]
                 gw_taps += np.matmul(g_pad[:, :taps.shape[3]],
                                      taps.swapaxes(2, 3))
             gw = np.ascontiguousarray(

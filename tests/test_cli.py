@@ -378,6 +378,23 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "FAIL  conv3d" in out
 
+    @pytest.mark.parametrize("instances", ["0", "-3"])
+    def test_fewer_than_one_instance_rejected(self, capsys, instances):
+        # a gate that checks nothing must not pass
+        code = main(["gradcheck", "--instances", instances])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert f"got {instances}" in captured.err
+
+    def test_unknown_injected_fault_rejected(self, capsys):
+        code = main(["gradcheck", "--instances", "1",
+                     "--inject-fault", "nosuchop"])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert "'nosuchop'" in captured.err and "conv3d" in captured.err
+
 
 class TestReproduceCommand:
     def test_tiny_scale_protocol(self, tmp_path, monkeypatch):

@@ -495,6 +495,40 @@ class TestConv3dSlabs:
         assert peak <= bound, f"peak {peak:,} B over the bound {bound:,.0f} B"
 
 
+class TestSlabViews:
+    """`_slabs` and `_valid` build their strided views with `np.ndarray`
+    over an explicit buffer, which numpy checks against its size."""
+
+    def test_src_and_taps_are_read_only(self):
+        x = np.random.default_rng(0).standard_normal((1, 2, 4, 3, 5))
+        slabs = tc._slabs(x, 3, 4)
+        _, _, _, taps = next(slabs)
+        src = slabs.gi_frame.f_locals["src"]
+        assert not src.flags.writeable and not taps.flags.writeable
+        with pytest.raises(ValueError):
+            taps[0, 0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_valid_is_the_crop_of_the_padded_grid(self, k):
+        planes, sy, sz = 2, 3, 4
+        py, pz = sy + k - 1, sz + k - 1
+        cols = planes * py * pz - (k - 1) * (pz + 1)
+        a = np.arange(3 * cols, dtype=np.float64).reshape(3, cols)
+        grid = np.zeros((3, planes * py * pz))
+        grid[:, :cols] = a
+        view = tc._valid(a, planes, sy, sz, k)
+        np.testing.assert_array_equal(
+            view, grid.reshape(3, planes, py, pz)[:, :, :sy, :sz])
+        view[...] = -1.0
+        assert (a < 0).sum() == 3 * planes * sy * sz
+
+    def test_valid_over_too_short_an_array_raises(self):
+        # one column short of 2 planes of the (3 + 2, 4 + 2) padded grid
+        cols = 2 * 5 * 6 - 2 * 7
+        with pytest.raises(ValueError):
+            tc._valid(np.zeros((3, cols - 1)), 2, 3, 4, 3)
+
+
 class TestBackwardConsumesTape:
     @pytest.mark.parametrize("head", HEADS)
     def test_desk_step_leaves_only_what_the_caller_holds(self, head):
@@ -690,6 +724,15 @@ def test_suite_counts_pinned_case_by_case():
         counts = (sum(x.checked for x in r.reports),
                   sum(x.skipped_at_kink for x in r.reports))
         assert counts == SUITE_COUNTS[r.name], r.name
+
+
+@pytest.mark.parametrize("kwargs, named", [
+    ({"names": ["nosuch"]}, "'nosuch'"),
+    ({"names": ["affine"], "inject_fault": "conv3d"}, "'conv3d'")])
+def test_suite_rejects_a_case_it_would_not_run(kwargs, named):
+    # the CLI's --instances and --inject-fault checks are in test_cli.py
+    with pytest.raises(ValueError, match=named):
+        run_suite(**kwargs)
 
 
 def recorded_ops(monkeypatch, run):
