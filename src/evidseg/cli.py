@@ -2,7 +2,10 @@
 evaluation, gradient checking, and `reproduce`, the one definition of the
 reference experiment that chains the others.
 
-Exit codes: 0 success, 1 validation/config error, 2 numerical failure.
+`main` alone turns a failure into an exit code, from the exception's type:
+an `ArithmeticError` is a numerical failure (exit 2, `numerical failure: `
+on stderr); a `ValueError` or `OSError` is invalid input (exit 1,
+`error: `), as is an argparse usage error; success and `--help` exit 0.
 """
 
 from __future__ import annotations
@@ -12,13 +15,11 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import gradcheck as gc
 from . import metrics as mx
 from . import trainer as tr
 from . import volume_io as vio
-from .config import ConfigError, RunConfig
+from .config import RunConfig
 from .evidential_head import decide
 from .seeding import derive_seed
 
@@ -27,18 +28,17 @@ EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
 
 
-class CliError(Exception):
-    def __init__(self, message, code=EXIT_CONFIG):
-        super().__init__(message)
-        self.code = code
-
-
 # -- phantom ---------------------------------------------------------------
 
-def cmd_phantom(args):
-    out = Path(args.out)
+def _require_empty(out):
+    out = Path(out)
     if out.exists() and any(out.iterdir()):
-        raise CliError(f"{out} exists and is not empty")
+        raise ValueError(f"{out} exists and is not empty")
+    return out
+
+
+def cmd_phantom(args):
+    out = _require_empty(args.out)
     dims = _parse_dims(args.dims)
     lo, hi = args.lesions
     cases = []
@@ -65,33 +65,25 @@ def load_split_cases(data_dir):
 def cmd_train(args):
     config = RunConfig.from_file(args.config)
     split = load_split_cases(args.data)
-    if not split.get("train") or not split.get("val"):
-        raise CliError("dataset must provide nonempty train and val splits")
     train_cfg = config.train_config()
     model = tr.Model.create(config.backbone_config(), config.head,
                             train_cfg, train_cfg.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    log_file = open(out / "train_log.jsonl", "w")
     # a checkpoint beside the new log would pass for this run's if it fails
     ckpt_path = out / "checkpoint.evckpt"
     ckpt_path.unlink(missing_ok=True)
+    with open(out / "train_log.jsonl", "w") as log_file:
+        def log_fn(record):
+            log_file.write(json.dumps(record) + "\n")
+            log_file.flush()
+            print(f"epoch {record['epoch']:3d}  total {record['total']:.4f}  "
+                  f"val_dice {record['val_dice']:.4f}  "
+                  f"val_ignorance {record['val_mean_ignorance']:.4f}")
 
-    def log_fn(record):
-        log_file.write(json.dumps(record) + "\n")
-        log_file.flush()
-        print(f"epoch {record['epoch']:3d}  total {record['total']:.4f}  "
-              f"val_dice {record['val_dice']:.4f}  "
-              f"val_ignorance {record['val_mean_ignorance']:.4f}")
-
-    try:
         best_params, best_epoch, _ = tr.train(
-            model, split["train"], split["val"], train_cfg,
+            model, split.get("train", []), split.get("val", []), train_cfg,
             gradcheck_gate=not args.skip_gradcheck, log_fn=log_fn)
-    except tr.TrainingError as e:
-        raise CliError(str(e), code=EXIT_NUMERIC) from e
-    finally:
-        log_file.close()
     model.params = best_params
     tr.save_checkpoint(ckpt_path, model, train_cfg, best_epoch)
     print(f"best checkpoint (epoch {best_epoch}) -> {ckpt_path}")
@@ -131,10 +123,10 @@ def cmd_eval(args):
     model, train_cfg, _ = tr.load_checkpoint(args.ckpt)
     split = load_split_cases(args.data)
     if args.split not in split:
-        raise CliError(f"split {args.split!r} not in dataset manifest")
+        raise ValueError(f"split {args.split!r} not in dataset manifest")
     cases = split[args.split]
     if not cases:
-        raise CliError(f"split {args.split!r} is empty")
+        raise ValueError(f"split {args.split!r} is empty")
 
     def predict_binary(case):
         masses = _predict_masses_for_case(model, train_cfg, case,
@@ -160,7 +152,7 @@ def cmd_gradcheck(args):
         print(f"{status}  {r.name:<30} max_rel_err {r.max_error:.3e}")
         failed = failed or not r.passed
     if failed:
-        raise CliError("gradient check failed", code=EXIT_NUMERIC)
+        raise ArithmeticError("gradient check failed")
     reports = [rep for r in results for rep in r.reports]
     print(f"all {len(results)} op kinds pass "
           f"(step {gc.STEP:g}, tol {gc.TOL:g}): "
@@ -183,13 +175,8 @@ def reproduce(out, cases=200, epochs=None):
     split into `.../eval`. `epochs` overrides the reference epoch count;
     it and `cases` exist so that a test can run the protocol at tiny scale.
     """
-    out = Path(out)
-    if out.exists() and any(out.iterdir()):
-        raise CliError(f"{out} exists and is not empty")
-    failures = gc.run_gate()
-    if failures:
-        raise CliError("gradient-check gate failed: " + ", ".join(failures),
-                       code=EXIT_NUMERIC)
+    out = _require_empty(out)
+    gc.run_gate()
     data = str(out / "data")
     _run(["phantom", "--out", data, "--count", str(cases),
           "--dims", "32,32,32", "--seed", "0", "--lesions", "1", "3",
@@ -222,9 +209,9 @@ def _parse_dims(text):
     try:
         dims = tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise CliError(f"bad dims {text!r}; expected X,Y,Z")
+        raise ValueError(f"bad dims {text!r}; expected X,Y,Z")
     if len(dims) != 3:
-        raise CliError(f"bad dims {text!r}; expected three extents")
+        raise ValueError(f"bad dims {text!r}; expected three extents")
     return dims
 
 
@@ -281,13 +268,13 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args.fn(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return e.code
-    except (ConfigError, vio.VolumeFormatError, ValueError, OSError) as e:
+    except SystemExit as e:
+        # argparse has printed the usage message or the help
+        return EXIT_CONFIG if e.code else EXIT_OK
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except ArithmeticError as e:

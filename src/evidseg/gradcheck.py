@@ -329,6 +329,17 @@ SAMPLE_LIMITS = {"backbone_tiny": 40, "total_loss_through_backbone": 40}
 
 
 def run_case(name, instances=20, seed=0, inject_fault=False) -> CaseResult:
+    """Check `instances` random instances of case `name`.
+
+    Raises ValueError for fewer than one instance, which would check
+    nothing, or for a name that is not one of `CASES`.
+    """
+    if instances < 1:
+        raise ValueError(f"gradcheck needs at least 1 instance, "
+                         f"got {instances}")
+    if name not in CASES:
+        raise ValueError(f"unknown gradcheck case {name!r}; "
+                         f"cases: {', '.join(CASES)}")
     factory = CASES[name]
     rng = np.random.default_rng(derive_seed(seed, f"gradcheck:{name}"))
     sample = SAMPLE_LIMITS.get(name)
@@ -362,17 +373,10 @@ def _with_fault(graph: Graph) -> Graph:
 def run_suite(names=None, instances=20, seed=0, inject_fault=None):
     """Run the named cases (default: all); returns list of CaseResult.
 
-    Raises ValueError for fewer than one instance, or for a name to run or
-    to inject a fault into that is not one of the cases run.
+    Raises ValueError for a fault to inject into a case not run, and, as
+    `run_case` does, for fewer than one instance or an unknown name.
     """
-    if instances < 1:
-        raise ValueError(f"gradcheck needs at least 1 instance, "
-                         f"got {instances}")
     names = list(names or CASES)
-    for name in names:
-        if name not in CASES:
-            raise ValueError(f"unknown gradcheck case {name!r}; "
-                             f"cases: {', '.join(CASES)}")
     if inject_fault is not None and inject_fault not in names:
         raise ValueError(f"no fault can be injected into {inject_fault!r}; "
                          f"cases run: {', '.join(names)}")
@@ -388,6 +392,10 @@ GATE_CASES = ("conv3d", "maxpool", "es_forward", "total_loss",
 
 
 def run_gate():
-    """Fast pre-training gate; returns names of failing cases."""
-    results = run_suite(GATE_CASES, instances=2)
-    return [r.name for r in results if not r.passed]
+    """Fast pre-training gate; raises ArithmeticError naming the failing
+    cases."""
+    failures = [r.name for r in run_suite(GATE_CASES, instances=2)
+                if not r.passed]
+    if failures:
+        raise ArithmeticError(
+            "gradient-check gate failed: " + ", ".join(failures))

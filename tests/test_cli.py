@@ -114,9 +114,7 @@ class TestRunConfig:
         assert train.lr == 1e-3
 
     def test_gradcheck_takes_no_config(self, capsys):
-        with pytest.raises(SystemExit) as e:
-            main(["gradcheck", "--config", "x"])
-        assert e.value.code == 2
+        assert main(["gradcheck", "--config", "x"]) == EXIT_CONFIG
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +140,63 @@ def tiny_run(dataset, tmp_path_factory):
                  "--out", str(out / "model"), "--skip-gradcheck"])
     assert code == EXIT_OK
     return out
+
+
+@pytest.fixture(scope="module")
+def nonfinite_train(dataset, tmp_path_factory):
+    """`train` argv, less `--out`, whose first step's gradient is not
+    finite."""
+    # one PET voxel of each train case at 3e38, finite in float32: the
+    # squared feature distances there overflow to inf, the activations
+    # are 0 and the loss finite, but the gamma gradient is 0 * inf
+    tmp = tmp_path_factory.mktemp("nonfinite")
+    data = tmp / "ds"
+    shutil.copytree(dataset, data)
+    _, splits = read_dataset(data)
+    for case_id in splits["train"]:
+        path = data / case_id / "pet.evol"
+        pet = read_volume(path)
+        pet.voxels[0, 0, 0] = 3e38
+        write_volume(pet, path)
+    config = tmp / "config.json"
+    config.write_text(json.dumps({
+        "backbone": {"channels": [2, 4]},
+        "es": {"prototypes": 3},
+        "train": {"epochs": 1, "patch_dims": [16, 16, 16]},
+    }))
+    return ["train", "--config", str(config), "--data", str(data),
+            "--skip-gradcheck"]
+
+
+# every way a command ends, each by a real failure: argv (from a fresh
+# directory and the non-finite `train` argv), exit code, start of stderr
+EXIT_TABLE = {
+    "usage error": (
+        lambda tmp, nonfinite: ["train", "--data", str(tmp),
+                                "--out", str(tmp / "m")],
+        EXIT_CONFIG, "usage: "),
+    "help": (lambda tmp, nonfinite: ["train", "--help"], EXIT_OK, ""),
+    "missing file": (
+        lambda tmp, nonfinite: ["predict", "--ckpt", str(tmp / "missing"),
+                                "--case", str(tmp), "--out", str(tmp / "o")],
+        EXIT_CONFIG, "error: "),
+    "failed gradient check": (
+        lambda tmp, nonfinite: ["gradcheck", "--instances", "1",
+                                "--inject-fault", "affine"],
+        EXIT_NUMERIC, "numerical failure: gradient check failed"),
+    "non-finite training step": (
+        lambda tmp, nonfinite: nonfinite + ["--out", str(tmp / "m")],
+        EXIT_NUMERIC, "numerical failure: "),
+}
+
+
+@pytest.mark.parametrize("row", EXIT_TABLE)
+def test_exit_code_table(row, nonfinite_train, tmp_path, capsys):
+    argv, code, prefix = EXIT_TABLE[row]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(argv(tmp_path, nonfinite_train)) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) if prefix else err == ""
 
 
 class TestPhantomCommand:
@@ -185,6 +240,13 @@ class TestPhantomCommand:
         assert code == EXIT_CONFIG
 
 
+def failing_suite(name):
+    """A `gradcheck.run_suite` stand-in whose results fail case `name`, so
+    that the real gate raises."""
+    return lambda *args, **kwargs: [gc.CaseResult(
+        name=name, passed=False, max_error=1.0, reports=[])]
+
+
 class TestTrainCommand:
     def test_log_has_one_line_per_epoch(self, tiny_run):
         lines = (tiny_run / "model" / "train_log.jsonl").read_text().splitlines()
@@ -206,28 +268,10 @@ class TestTrainCommand:
         assert code == EXIT_CONFIG
         assert "learning_rat" in capsys.readouterr().err
 
-    def test_nonfinite_gradient_exit_code(self, dataset, tmp_path, capsys):
-        # one PET voxel of each train case at 3e38, finite in float32: the
-        # squared feature distances there overflow to inf, the activations
-        # are 0 and the loss finite, but the gamma gradient is 0 * inf
-        data = tmp_path / "ds"
-        shutil.copytree(dataset, data)
-        _, splits = read_dataset(data)
-        for case_id in splits["train"]:
-            path = data / case_id / "pet.evol"
-            pet = read_volume(path)
-            pet.voxels[0, 0, 0] = 3e38
-            write_volume(pet, path)
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({
-            "backbone": {"channels": [2, 4]},
-            "es": {"prototypes": 3},
-            "train": {"epochs": 1, "patch_dims": [16, 16, 16]},
-        }))
+    def test_nonfinite_gradient_exit_code(self, nonfinite_train, tmp_path,
+                                          capsys):
         with np.errstate(over="ignore", invalid="ignore"):
-            code = main(["train", "--config", str(config), "--data",
-                         str(data), "--out", str(tmp_path / "m"),
-                         "--skip-gradcheck"])
+            code = main(nonfinite_train + ["--out", str(tmp_path / "m")])
         assert code == EXIT_NUMERIC
         assert "non-finite gradient" in capsys.readouterr().err
 
@@ -248,7 +292,7 @@ class TestTrainCommand:
 
     def test_gate_runs_unless_skipped(self, dataset, tiny_run, tmp_path,
                                       monkeypatch, capsys):
-        monkeypatch.setattr(gc, "run_gate", lambda: ["bba"])
+        monkeypatch.setattr(gc, "run_suite", failing_suite("bba"))
         code = main(["train", "--config", str(tiny_run / "config.json"),
                      "--data", str(dataset), "--out", str(tmp_path / "m")])
         assert code == EXIT_NUMERIC
@@ -427,10 +471,11 @@ class TestReproduceCommand:
             assert len(report["per_patient"]) == 1
 
     def test_failed_gate_exit_code(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(gc, "run_gate", lambda: ["dempster_fuse"])
+        monkeypatch.setattr(gc, "run_suite", failing_suite("dempster_fuse"))
         out = tmp_path / "exp"
         assert main(["reproduce", "--out", str(out)]) == EXIT_NUMERIC
-        assert "dempster_fuse" in capsys.readouterr().err
+        assert "gradient-check gate failed: dempster_fuse" in (
+            capsys.readouterr().err)
         assert not out.exists()
 
     def test_refuses_nonempty_out_dir(self, dataset, monkeypatch):
@@ -441,9 +486,8 @@ class TestReproduceCommand:
         assert main(["reproduce", "--out", str(dataset)]) == EXIT_CONFIG
 
     def test_takes_only_out(self, tmp_path):
-        with pytest.raises(SystemExit) as e:
-            main(["reproduce", "--out", str(tmp_path), "--count", "10"])
-        assert e.value.code == 2
+        assert main(["reproduce", "--out", str(tmp_path),
+                     "--count", "10"]) == EXIT_CONFIG
 
 
 def readme_blocks(info):

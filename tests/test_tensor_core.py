@@ -10,7 +10,8 @@ import pytest
 from evidseg import objectives as obj
 from evidseg import tensor_core as tc
 from evidseg.backbone_unet import FULL_CHANNELS, BackboneConfig
-from evidseg.gradcheck import CASES, STEP, finite_difference_check, run_suite
+from evidseg.gradcheck import (CASES, STEP, finite_difference_check,
+                               run_case, run_suite)
 from evidseg.seeding import derive_seed
 from evidseg.tensor_core import (Graph, Tensor, TensorError, concat, conv3d,
                                  maxpool3d, upsample_nearest3d)
@@ -733,6 +734,15 @@ def test_suite_rejects_a_case_it_would_not_run(kwargs, named):
     # the CLI's --instances and --inject-fault checks are in test_cli.py
     with pytest.raises(ValueError, match=named):
         run_suite(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs, named", [
+    ({"name": "affine", "instances": 0}, "got 0"),
+    ({"name": "nosuch"}, "'nosuch'.*conv3d")])
+def test_case_rejects_a_run_that_checks_nothing(kwargs, named):
+    # a case run of no instances, or of no case, must not pass
+    with pytest.raises(ValueError, match=named):
+        run_case(**kwargs)
 
 
 def recorded_ops(monkeypatch, run):

@@ -578,7 +578,7 @@ class TestTrainLoop:
         assert np.all(masses[..., 2] > 0)
 
     def test_empty_split_rejected(self):
-        with pytest.raises(TrainingError):
+        with pytest.raises(ValueError, match="empty"):
             train(tiny_model(), [], tiny_cases(1), tiny_config(),
                   gradcheck_gate=False)
 
