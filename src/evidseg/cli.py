@@ -57,14 +57,9 @@ def cmd_phantom(args):
 
 # -- train -----------------------------------------------------------------
 
-def load_split_cases(data_dir):
-    cases, splits = vio.read_dataset(data_dir)
-    return {name: [cases[cid] for cid in ids] for name, ids in splits.items()}
-
-
 def cmd_train(args):
     config = RunConfig.from_file(args.config)
-    split = load_split_cases(args.data)
+    split = vio.read_dataset(args.data)
     train_cfg = config.train_config()
     model = tr.Model.create(config.backbone_config(), config.head,
                             train_cfg, train_cfg.seed)
@@ -121,7 +116,7 @@ def cmd_predict(args):
 
 def cmd_eval(args):
     model, train_cfg, _ = tr.load_checkpoint(args.ckpt)
-    split = load_split_cases(args.data)
+    split = vio.read_dataset(args.data)
     if args.split not in split:
         raise ValueError(f"split {args.split!r} not in dataset manifest")
     cases = split[args.split]

@@ -101,7 +101,9 @@ def finite_difference_check(graph: Graph, leaf: str,
             fd_fine = central(i, STEP / 8.0)
             if fd_fine is not None:
                 err = min(err, rel_error(a, fd_fine))
-        max_err = max(max_err, err)
+        # a NaN error, as a NaN or infinite gradient gives, compares false
+        # with every bound; count it as the worst error there is
+        max_err = max(max_err, err if np.isfinite(err) else np.inf)
     return FdReport(leaf=leaf, max_error=max_err, passed=max_err <= TOL,
                     checked=len(indices) - skipped, skipped_at_kink=skipped)
 

@@ -21,10 +21,6 @@ class ConfusionCounts:
     tn: int
     fn: int
 
-    @property
-    def total(self):
-        return self.tp + self.fp + self.tn + self.fn
-
 
 def confusion(pred: np.ndarray, truth: np.ndarray) -> ConfusionCounts:
     pred = np.asarray(pred)

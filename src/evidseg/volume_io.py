@@ -157,27 +157,16 @@ CASE_VOLUMES = {"pet": "PET", "ct": "CT", "mask": "MASK"}
 
 
 def write_case(case: PatientCase, case_dir):
+    """Write the case's three volumes into `case_dir`, whose name is the
+    case's id when `read_case` reads it back."""
     case_dir = Path(case_dir)
     case_dir.mkdir(parents=True, exist_ok=True)
     for name in CASE_VOLUMES:
         write_volume(getattr(case, name), case_dir / f"{name}.evol")
-    _write_atomic(case_dir / "case.json",
-                  [json.dumps({"id": case.id}).encode("utf-8")])
-
-
-def _read_json(path):
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise VolumeFormatError(f"{path}: undecodable JSON: {e}") from None
 
 
 def read_case(case_dir) -> PatientCase:
     case_dir = Path(case_dir)
-    meta = _read_json(case_dir / "case.json")
-    if not (isinstance(meta, dict) and isinstance(meta.get("id"), str)):
-        raise VolumeFormatError(
-            f"{case_dir / 'case.json'}: needs an object with a string id")
     volumes = {}
     for name, modality in CASE_VOLUMES.items():
         path = case_dir / f"{name}.evol"
@@ -185,7 +174,7 @@ def read_case(case_dir) -> PatientCase:
         if v.modality != modality:
             raise VolumeFormatError(
                 f"{path}: {v.modality} volume, expected {modality}")
-    return PatientCase(id=meta["id"], **volumes)
+    return PatientCase(id=case_dir.name, **volumes)
 
 
 # -- synthetic PET/CT phantom ---------------------------------------------
@@ -311,25 +300,25 @@ def write_dataset(cases: list, splits: dict, out_dir):
 
 
 def read_dataset(data_dir):
-    """Returns ({case_id: PatientCase}, {split_name: [case_id]}); the
-    splits must be disjoint, list each case once and list only cases
-    present in `data_dir`, each in the directory named by its id."""
+    """Returns {split_name: [PatientCase]}; the splits must be disjoint,
+    list each case once and list only cases present in `data_dir`, each in
+    the directory named by its id."""
     data_dir = Path(data_dir)
     manifest = data_dir / "splits.json"
     if not manifest.exists():
         raise VolumeFormatError(f"{data_dir}: missing splits.json")
-    splits = _read_json(manifest)
-    cases = {}
+    try:
+        splits = json.loads(manifest.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise VolumeFormatError(
+            f"{manifest}: undecodable JSON: {e}") from None
     for cid in _check_splits(splits, manifest):
-        meta = data_dir / cid / "case.json"
-        if not meta.is_file():
+        if not (data_dir / cid).is_dir():
             raise VolumeFormatError(
-                f"{manifest}: lists case {cid!r}, but {meta} does not exist")
-        case = cases[cid] = read_case(data_dir / cid)
-        if case.id != cid:
-            raise VolumeFormatError(
-                f"{meta}: id {case.id!r} is not its directory's name {cid!r}")
-    return cases, splits
+                f"{manifest}: lists case {cid!r}, but {data_dir / cid} "
+                f"is not a directory")
+    return {name: [read_case(data_dir / cid) for cid in ids]
+            for name, ids in splits.items()}
 
 
 # -- dataset splits --------------------------------------------------------
@@ -348,7 +337,6 @@ def split_dataset(cases: list, ratios, seed: int):
     n = len(cases)
     n_train = int(round(ratios[0] * n))
     n_val = int(round(ratios[1] * n))
-    n_train = min(n_train, n)
     n_val = min(n_val, n - n_train)
     for size, ratio in ((n_train, ratios[0]), (n_val, ratios[1]),
                         (n - n_train - n_val, ratios[2])):

@@ -3,8 +3,13 @@
 perfbench/tracing.py wraps functions of the package by name at run time. A
 rename, or a head function bound at import time instead of looked up per
 call, would only show up as a failed or silently incomplete traced run;
-these tests make it fail here.
+these tests make it fail here. The last one runs perfbench/selftest.py,
+which checks the benchmark's own arithmetic against each path once.
 """
+
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,3 +63,11 @@ def test_traced_desk_step_counts_its_tape_before_the_backward(head, path,
     if head == "evidential":
         assert tracer.counts[(path, "evidential_head.tape_nodes")] == 5
     assert tracing.tape_size(total) == 0
+
+
+def test_perfbench_selftest_passes():
+    # the benchmark's own checks of its arithmetic, names and traced paths
+    done = subprocess.run([sys.executable, "perfbench/selftest.py"],
+                          cwd=Path(__file__).resolve().parent.parent,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr[-2000:]

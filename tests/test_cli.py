@@ -152,9 +152,8 @@ def nonfinite_train(dataset, tmp_path_factory):
     tmp = tmp_path_factory.mktemp("nonfinite")
     data = tmp / "ds"
     shutil.copytree(dataset, data)
-    _, splits = read_dataset(data)
-    for case_id in splits["train"]:
-        path = data / case_id / "pet.evol"
+    for case in read_dataset(data)["train"]:
+        path = data / case.id / "pet.evol"
         pet = read_volume(path)
         pet.voxels[0, 0, 0] = 3e38
         write_volume(pet, path)
@@ -201,10 +200,7 @@ def test_exit_code_table(row, nonfinite_train, tmp_path, capsys):
 
 class TestPhantomCommand:
     def test_writes_cases_and_split(self, dataset):
-        cases, splits = read_dataset(dataset)
-        assert len(cases) == 6
-        sizes = tuple(len(v) for v in splits.values())
-        assert sum(sizes) == 6
+        splits = read_dataset(dataset)
         assert (len(splits["train"]), len(splits["val"]),
                 len(splits["test"])) == (3, 2, 1)
 
@@ -212,7 +208,7 @@ class TestPhantomCommand:
         out = tmp_path / "ds10"
         assert main(["phantom", "--out", str(out), "--count", "10",
                      "--dims", "16,16,16", "--seed", "1"]) == EXIT_OK
-        _, splits = read_dataset(out)
+        splits = read_dataset(out)
         assert (len(splits["train"]), len(splits["val"]),
                 len(splits["test"])) == (8, 1, 1)
 
@@ -317,8 +313,7 @@ class TestTrainCommand:
 class TestPredictCommand:
     def test_three_volumes_with_valid_payloads(self, dataset, tiny_run,
                                                tmp_path):
-        _, splits = read_dataset(dataset)
-        case_dir = dataset / splits["test"][0]
+        case_dir = dataset / read_dataset(dataset)["test"][0].id
         out = tmp_path / "pred"
         code = main(["predict", "--ckpt",
                      str(tiny_run / "model" / "checkpoint.evckpt"),
@@ -396,7 +391,7 @@ class TestEvalCommand:
 @pytest.mark.parametrize("command", ["eval", "train", "predict"])
 def test_missing_file_exit_code(dataset, tmp_path, capsys, command):
     missing = str(tmp_path / "missing")
-    case = str(dataset / read_dataset(dataset)[1]["test"][0])
+    case = str(dataset / read_dataset(dataset)["test"][0].id)
     argv = {"eval": ["eval", "--ckpt", missing, "--data", str(dataset)],
             "train": ["train", "--config", missing, "--data", str(dataset)],
             "predict": ["predict", "--ckpt", missing, "--case", case]}
@@ -453,7 +448,7 @@ class TestReproduceCommand:
         out = tmp_path / "exp"
         reproduce(out, cases=10, epochs=1)
         assert len(gate_calls) == 1
-        _, splits = read_dataset(out / "data")
+        splits = read_dataset(out / "data")
         assert (len(splits["train"]), len(splits["val"]),
                 len(splits["test"])) == (8, 1, 1)
         runs = [(head, seed) for head in HEADS for seed in SEEDS]

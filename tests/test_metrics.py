@@ -44,7 +44,8 @@ class TestConfusion:
         rng = np.random.default_rng(1)
         pred = (rng.random((4, 4, 4)) < 0.5).astype(float)
         truth = (rng.random((4, 4, 4)) < 0.5).astype(float)
-        assert confusion(pred, truth).total == 64
+        c = confusion(pred, truth)
+        assert c.tp + c.fp + c.tn + c.fn == 64
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

@@ -678,6 +678,27 @@ class TestFiniteDifferenceCheck:
         report = finite_difference_check(g, "x")
         assert not report.passed
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_gradient_fails_leaf_and_case(self, monkeypatch, bad):
+        # its relative error is NaN, which compares false with TOL
+        class NonFinite(Graph):
+            def backward_gradients(self):
+                grads = super().backward_gradients()
+                grads["x"] = grads["x"].copy()
+                grads["x"][1] = bad
+                return grads
+
+        def factory(rng):
+            return NonFinite(lambda lv, iv: lv["x"].exp().sum(),
+                             {"x": rng.uniform(-1.0, 1.0, 3)}), {}
+
+        g, _ = factory(np.random.default_rng(0))
+        report = finite_difference_check(g, "x")
+        assert not report.passed and report.max_error == np.inf
+        monkeypatch.setitem(CASES, "nonfinite", factory)
+        result = run_case("nonfinite", instances=2)
+        assert not result.passed and result.max_error == np.inf
+
 
 class TestKinkPatterns:
     def test_each_relu_and_maxpool_leaves_one_entry(self):

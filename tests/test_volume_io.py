@@ -139,8 +139,8 @@ class TestEvolFormat:
 
     def test_case_round_trip(self, tmp_path):
         case = generate_phantom(5, (16, 16, 16), (1, 2))
-        write_case(case, tmp_path / "c")
-        back = read_case(tmp_path / "c")
+        write_case(case, tmp_path / case.id)
+        back = read_case(tmp_path / case.id)
         assert back.id == case.id
         np.testing.assert_array_equal(back.pet.voxels, case.pet.voxels)
         np.testing.assert_array_equal(back.mask.voxels, case.mask.voxels)
@@ -230,20 +230,40 @@ class TestDatasetDir:
         splits = {"train": ["case_0", "case_1"], "val": ["case_2"],
                   "test": ["case_3"]}
         write_dataset(cases, splits, tmp_path / "ds")
-        back_cases, back_splits = read_dataset(tmp_path / "ds")
-        assert back_splits == splits
-        assert set(back_cases) == {c.id for c in cases}
+        back = read_dataset(tmp_path / "ds")
+        assert {name: [c.id for c in split]
+                for name, split in back.items()} == splits
+        for case, again in zip(cases, back["train"] + back["val"]
+                               + back["test"]):
+            np.testing.assert_array_equal(again.pet.voxels, case.pet.voxels)
+
+    def test_case_directories_hold_only_volumes(self, tmp_path):
+        cases = [generate_phantom(s, (16, 16, 16), (1, 2)) for s in range(2)]
+        cases[0].id, cases[1].id = "a", "b"
+        write_dataset(cases, {"train": ["a"], "test": ["b"]}, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "a", "b", "splits.json"]
+        for cid in ("a", "b"):
+            assert sorted(p.name for p in (tmp_path / cid).iterdir()) == [
+                "ct.evol", "mask.evol", "pet.evol"]
+
+    def test_case_json_of_older_datasets_ignored(self, tmp_path):
+        # datasets once carried each id in a case.json beside the volumes;
+        # the directory name is the id, whatever that file says
+        cases = [generate_phantom(s, (16, 16, 16), (1, 2)) for s in range(2)]
+        cases[0].id, cases[1].id = "a", "b"
+        write_dataset(cases, {"train": ["a", "b"]}, tmp_path)
+        (tmp_path / "a" / "case.json").write_text(json.dumps({"id": "a"}))
+        (tmp_path / "b" / "case.json").write_text(json.dumps({"id": "z"}))
+        assert [c.id for c in read_dataset(tmp_path)["train"]] == ["a", "b"]
 
     @pytest.mark.parametrize("name,damage", [
-        ("case.json", lambda ds, c: (ds / c / "case.json").write_text("{}")),
         ("splits.json",
          lambda ds, c: (ds / "splits.json").write_text(json.dumps([c]))),
         ("splits.json", lambda ds, c: (ds / "splits.json").write_text(
             json.dumps({"train": c}))),
         ("splits.json",
          lambda ds, c: (ds / "splits.json").write_bytes(b"\xff{")),
-        ("case.json",
-         lambda ds, c: (ds / c / "case.json").write_text("{not json")),
         ("pet.evol", lambda ds, c: (ds / c / "pet.evol").write_bytes(
             (ds / c / "ct.evol").read_bytes())),
         ("mask.evol", lambda ds, c: (ds / c / "mask.evol").write_bytes(
@@ -258,13 +278,9 @@ class TestDatasetDir:
         ("splits.json: case id '../.*' is not a plain directory name",
          lambda ds, c: (ds / "splits.json").write_text(
              json.dumps({"train": [f"../{ds.name}/{c}"]}))),
-        ("case.json: id 'other' is not its directory's name 'c'",
-         lambda ds, c: (ds / c / "case.json").write_text(
-             json.dumps({"id": "other"}))),
-    ], ids=["case-without-id", "splits-list", "split-string",
-            "splits-undecodable", "case-undecodable", "ct-as-pet",
-            "pet-as-mask", "splits-overlap", "case-twice-in-split",
-            "case-id-outside-dataset", "case-id-not-directory"])
+    ], ids=["splits-list", "split-string", "splits-undecodable",
+            "ct-as-pet", "pet-as-mask", "splits-overlap",
+            "case-twice-in-split", "case-id-outside-dataset"])
     def test_malformed_dataset_names_file(self, tmp_path, name, damage):
         case = generate_phantom(0, (16, 16, 16), (1, 2))
         case.id = "c"
