@@ -29,6 +29,16 @@ def as_int(name: str, value) -> int:
     return int(value)
 
 
+def as_ints(name: str, values) -> tuple:
+    """`values` as a tuple of ints; a ValueError naming `name` unless it is a
+    list, tuple or 1-D numpy array of integers."""
+    if not (isinstance(values, (list, tuple))
+            or isinstance(values, np.ndarray) and values.ndim == 1):
+        raise ValueError(f"{name}: expected a list of integers, "
+                         f"got {values!r}")
+    return tuple(as_int(name, v) for v in values)
+
+
 def as_real(name: str, value):
     """`value` as a JSON-serializable real; a ValueError naming `name` unless
     it is a Python or numpy integer or float (a bool is not). Python ints
@@ -44,11 +54,14 @@ class BackboneConfig:
     channels: tuple = DESK_CHANNELS
 
     def __post_init__(self):
-        self.channels = tuple(as_int("channels", c) for c in self.channels)
+        self.channels = as_ints("channels", self.channels)
         if len(self.channels) < 2:
-            raise ValueError("need at least 2 levels")
-        if any(b <= a for a, b in zip(self.channels, self.channels[1:])):
-            raise ValueError(f"channels must be strictly increasing: {self.channels}")
+            raise ValueError(f"channels must name at least 2 levels: "
+                             f"{self.channels}")
+        if self.channels[0] < 1 or any(
+                b <= a for a, b in zip(self.channels, self.channels[1:])):
+            raise ValueError(f"channels must be positive and strictly "
+                             f"increasing: {self.channels}")
 
     @property
     def levels(self):

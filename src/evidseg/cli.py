@@ -59,7 +59,8 @@ def cmd_phantom(args):
 
 def cmd_train(args):
     config = RunConfig.from_file(args.config)
-    split = vio.read_dataset(args.data)
+    train_cases = vio.read_dataset(args.data, "train")
+    val_cases = vio.read_dataset(args.data, "val")
     train_cfg = config.train_config()
     model = tr.Model.create(config.backbone_config(), config.head,
                             train_cfg, train_cfg.seed)
@@ -77,7 +78,7 @@ def cmd_train(args):
                   f"val_ignorance {record['val_mean_ignorance']:.4f}")
 
         best_params, best_epoch, _ = tr.train(
-            model, split.get("train", []), split.get("val", []), train_cfg,
+            model, train_cases, val_cases, train_cfg,
             gradcheck_gate=not args.skip_gradcheck, log_fn=log_fn)
     model.params = best_params
     tr.save_checkpoint(ckpt_path, model, train_cfg, best_epoch)
@@ -86,19 +87,16 @@ def cmd_train(args):
 
 # -- predict ---------------------------------------------------------------
 
-def _predict_masses_for_case(model, train_cfg, case, stride):
+def _predict_masses_for_case(model, train_cfg, case):
     x, _ = tr.prepare_case(case)
-    patch = tuple(min(p, d) for p, d in zip(train_cfg.patch_dims,
-                                            case.pet.dims))
     return mx.sliding_window_masses(model.predict_masses, x,
-                                    patch_dims=patch, stride=stride)
+                                    train_cfg.patch_dims)
 
 
 def cmd_predict(args):
     model, train_cfg, _ = tr.load_checkpoint(args.ckpt)
     case = vio.read_case(args.case)
-    masses = _predict_masses_for_case(model, train_cfg, case,
-                                      stride=args.stride)
+    masses = _predict_masses_for_case(model, train_cfg, case)
     binary, three_way, uncertainty = decide(masses)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -116,24 +114,18 @@ def cmd_predict(args):
 
 def cmd_eval(args):
     model, train_cfg, _ = tr.load_checkpoint(args.ckpt)
-    split = vio.read_dataset(args.data)
-    if args.split not in split:
-        raise ValueError(f"split {args.split!r} not in dataset manifest")
-    cases = split[args.split]
-    if not cases:
-        raise ValueError(f"split {args.split!r} is empty")
+    cases = vio.read_dataset(args.data, args.split)
 
     def predict_binary(case):
-        masses = _predict_masses_for_case(model, train_cfg, case,
-                                          stride=args.stride)
-        return decide(masses)[0]
+        return decide(_predict_masses_for_case(model, train_cfg, case))[0]
 
     report = mx.evaluate_cases(predict_binary, cases)
+    table = mx.format_table(report)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(json.dumps(report.as_dict(), indent=1))
-    (out / "report.txt").write_text(report.as_table() + "\n")
-    print(report.as_table())
+    (out / "report.json").write_text(json.dumps(report, indent=1))
+    (out / "report.txt").write_text(table + "\n")
+    print(table)
 
 
 # -- gradcheck -------------------------------------------------------------
@@ -237,7 +229,6 @@ def build_parser():
     p.add_argument("--ckpt", required=True)
     p.add_argument("--case", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--stride", type=int, default=16)
     p.set_defaults(fn=cmd_predict)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a split")
@@ -245,7 +236,6 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--split", default="test")
     p.add_argument("--out", default="eval_out")
-    p.add_argument("--stride", type=int, default=16)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="run the finite-difference suite")

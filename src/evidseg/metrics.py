@@ -58,30 +58,10 @@ def compute_metrics(counts: ConfusionCounts) -> dict:
             "precision": prec, "f1": f1}
 
 
-@dataclass
-class MetricReport:
-    per_patient: list  # [{"id": ..., metric: value, ...}]
-    aggregate: dict
-
-    def as_dict(self):
-        return {"per_patient": self.per_patient, "aggregate": self.aggregate}
-
-    def as_table(self) -> str:
-        header = ["case"] + list(METRIC_NAMES)
-        rows = [[p["id"]] + [f"{p[m]:.4f}" for m in METRIC_NAMES]
-                for p in self.per_patient]
-        rows.append(["mean"] + [f"{self.aggregate[m]:.4f}"
-                                for m in METRIC_NAMES])
-        widths = [max(len(r[i]) for r in [header] + rows)
-                  for i in range(len(header))]
-        def fmt(row):
-            return "  ".join(c.ljust(w) for c, w in zip(row, widths))
-        sep = "-" * (sum(widths) + 2 * (len(widths) - 1))
-        return "\n".join([fmt(header), sep] + [fmt(r) for r in rows])
-
-
-def evaluate_cases(predict_binary, cases) -> MetricReport:
-    """Per-case metrics then an unweighted mean over patients.
+def evaluate_cases(predict_binary, cases) -> dict:
+    """Per-case metrics then an unweighted mean over patients, as
+    {"per_patient": [{"id": ..., metric: value, ...}], "aggregate":
+    {metric: mean}}.
 
     `predict_binary(case)` must return a binary lesion map with the case's
     dims.
@@ -96,41 +76,55 @@ def evaluate_cases(predict_binary, cases) -> MetricReport:
         per_patient.append({"id": case.id, **m})
     aggregate = {name: float(np.mean([p[name] for p in per_patient]))
                  for name in METRIC_NAMES}
-    return MetricReport(per_patient=per_patient, aggregate=aggregate)
+    return {"per_patient": per_patient, "aggregate": aggregate}
+
+
+def format_table(report: dict) -> str:
+    """`report`, as `evaluate_cases` returns it, as an aligned text table:
+    one row per patient, then the mean."""
+    header = ["case"] + list(METRIC_NAMES)
+    rows = [[p["id"]] + [f"{p[m]:.4f}" for m in METRIC_NAMES]
+            for p in report["per_patient"]]
+    rows.append(["mean"] + [f"{report['aggregate'][m]:.4f}"
+                            for m in METRIC_NAMES])
+    widths = [max(len(r[i]) for r in [header] + rows)
+              for i in range(len(header))]
+    def fmt(row):
+        return "  ".join(c.ljust(w) for c, w in zip(row, widths))
+    sep = "-" * (sum(widths) + 2 * (len(widths) - 1))
+    return "\n".join([fmt(header), sep] + [fmt(r) for r in rows])
 
 
 # -- sliding-window inference ----------------------------------------------
 
-def window_starts(extent: int, patch: int, stride: int):
-    """Window origins covering [0, extent) with the last window clamped."""
+def window_starts(extent: int, patch: int):
+    """Window origins covering [0, extent), half a patch (rounded up)
+    apart, with the last window clamped."""
     if patch > extent:
         raise ValueError(f"patch {patch} exceeds extent {extent}")
-    # a stride over the patch leaves the voxels between two windows unseen
-    if not 1 <= stride <= patch:
-        raise ValueError(f"stride {stride} must lie in [1, {patch}], the "
-                         f"window size")
-    starts = list(range(0, extent - patch + 1, stride))
+    starts = list(range(0, extent - patch + 1, (patch + 1) // 2))
     if starts[-1] != extent - patch:
         starts.append(extent - patch)
     return starts
 
 
-def sliding_window_masses(forward_fn, x: np.ndarray, patch_dims,
-                          stride) -> np.ndarray:
+def sliding_window_masses(forward_fn, x: np.ndarray,
+                          patch_dims) -> np.ndarray:
     """Full-volume mass map from patch predictions, averaged in overlaps.
 
-    `forward_fn` maps a (1, C, px, py, pz) input to (1, px, py, pz, 3)
-    masses. Dividing each voxel's window sum by its total averages the
-    windows: the total is the voxel's window count, up to float error.
+    The patch is cut to the volume along any axis it exceeds. `forward_fn`
+    maps a (1, C, px, py, pz) input to (1, px, py, pz, 3) masses. Dividing
+    each voxel's window sum by its total averages the windows: the total is
+    the voxel's window count, up to float error.
     """
     dims = x.shape[1:]
+    px, py, pz = (min(p, d) for p, d in zip(patch_dims, dims))
     acc = np.zeros(dims + (3,), dtype=np.float64)
-    for sx in window_starts(dims[0], patch_dims[0], stride):
-        for sy in window_starts(dims[1], patch_dims[1], stride):
-            for sz in window_starts(dims[2], patch_dims[2], stride):
-                sl = (slice(sx, sx + patch_dims[0]),
-                      slice(sy, sy + patch_dims[1]),
-                      slice(sz, sz + patch_dims[2]))
+    for sx in window_starts(dims[0], px):
+        for sy in window_starts(dims[1], py):
+            for sz in window_starts(dims[2], pz):
+                sl = (slice(sx, sx + px), slice(sy, sy + py),
+                      slice(sz, sz + pz))
                 patch = x[(slice(None),) + sl][None]
                 acc[sl] += forward_fn(patch)[0]
     return acc / acc.sum(axis=-1, keepdims=True)

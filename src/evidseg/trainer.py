@@ -53,8 +53,7 @@ class TrainConfig:
         for name in ("lr", "lam", "alpha_init", "gamma_init", "beta1",
                      "beta2", "eps", "lesion_patch_fraction"):
             setattr(self, name, bb.as_real(name, getattr(self, name)))
-        self.patch_dims = tuple(bb.as_int("patch_dims", d)
-                                for d in self.patch_dims)
+        self.patch_dims = bb.as_ints("patch_dims", self.patch_dims)
         # chained comparisons are false for NaN, so NaN fails every check
         if not 0.0 < self.lr < math.inf:
             raise ValueError("lr must be positive and finite")

@@ -299,10 +299,10 @@ def write_dataset(cases: list, splits: dict, out_dir):
                   [json.dumps(splits, indent=1).encode("utf-8")])
 
 
-def read_dataset(data_dir):
-    """Returns {split_name: [PatientCase]}; the splits must be disjoint,
-    list each case once and list only cases present in `data_dir`, each in
-    the directory named by its id."""
+def read_dataset(data_dir, split):
+    """The cases of `split`, in manifest order. All of splits.json is
+    checked: its splits must be disjoint, list each case once and list only
+    cases present in `data_dir`, each in the directory named by its id."""
     data_dir = Path(data_dir)
     manifest = data_dir / "splits.json"
     if not manifest.exists():
@@ -317,8 +317,9 @@ def read_dataset(data_dir):
             raise VolumeFormatError(
                 f"{manifest}: lists case {cid!r}, but {data_dir / cid} "
                 f"is not a directory")
-    return {name: [read_case(data_dir / cid) for cid in ids]
-            for name, ids in splits.items()}
+    if split not in splits:
+        raise VolumeFormatError(f"{manifest}: lists no split {split!r}")
+    return [read_case(data_dir / cid) for cid in splits[split]]
 
 
 # -- dataset splits --------------------------------------------------------

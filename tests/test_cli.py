@@ -11,14 +11,14 @@ import numpy as np
 import pytest
 
 from evidseg import gradcheck as gc
+from evidseg import volume_io as vio
 from evidseg.backbone_unet import BackboneConfig
 from evidseg.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, SEEDS,
                          build_parser, main, reproduce)
 from evidseg.config import SECTIONS, ConfigError, RunConfig
 from evidseg.trainer import (HEADS, TrainConfig, load_checkpoint,
                              save_checkpoint)
-from evidseg.volume_io import (generate_phantom, read_dataset, read_volume,
-                               write_case, write_volume)
+from evidseg.volume_io import read_dataset, read_volume, write_volume
 from helpers import rewrite_header
 
 # a valid value other than the default for every accepted key
@@ -86,7 +86,11 @@ class TestRunConfig:
     @pytest.mark.parametrize("section,key,value", [
         ("train", "epochs", 1.5), ("train", "batch_size", 1.5),
         ("train", "seed", True), ("train", "patch_dims", [16.7, 16, 16]),
-        ("es", "prototypes", 2.5), ("backbone", "channels", [2.5, 4])])
+        ("es", "prototypes", 2.5), ("backbone", "channels", [2.5, 4]),
+        # sizes below 1, too few levels, and bare numbers in place of lists
+        ("backbone", "channels", [0, 4]), ("backbone", "channels", [-2, 4]),
+        ("backbone", "channels", [4]), ("backbone", "channels", 4),
+        ("train", "patch_dims", 32)])
     def test_non_integer_count_named_in_error(self, section, key, value):
         config = RunConfig({section: {key: value}})
         with pytest.raises(ConfigError, match=key):
@@ -127,6 +131,12 @@ def dataset(tmp_path_factory):
     return out
 
 
+def split_sizes(data):
+    """The train, val and test case counts of the dataset `data`."""
+    return [len(read_dataset(data, split))
+            for split in ("train", "val", "test")]
+
+
 @pytest.fixture(scope="module")
 def tiny_run(dataset, tmp_path_factory):
     out = tmp_path_factory.mktemp("run")
@@ -152,7 +162,7 @@ def nonfinite_train(dataset, tmp_path_factory):
     tmp = tmp_path_factory.mktemp("nonfinite")
     data = tmp / "ds"
     shutil.copytree(dataset, data)
-    for case in read_dataset(data)["train"]:
+    for case in read_dataset(data, "train"):
         path = data / case.id / "pet.evol"
         pet = read_volume(path)
         pet.voxels[0, 0, 0] = 3e38
@@ -200,17 +210,13 @@ def test_exit_code_table(row, nonfinite_train, tmp_path, capsys):
 
 class TestPhantomCommand:
     def test_writes_cases_and_split(self, dataset):
-        splits = read_dataset(dataset)
-        assert (len(splits["train"]), len(splits["val"]),
-                len(splits["test"])) == (3, 2, 1)
+        assert split_sizes(dataset) == [3, 2, 1]
 
     def test_paper_default_split_sizes(self, tmp_path):
         out = tmp_path / "ds10"
         assert main(["phantom", "--out", str(out), "--count", "10",
                      "--dims", "16,16,16", "--seed", "1"]) == EXIT_OK
-        splits = read_dataset(out)
-        assert (len(splits["train"]), len(splits["val"]),
-                len(splits["test"])) == (8, 1, 1)
+        assert split_sizes(out) == [8, 1, 1]
 
     def test_rerun_same_seed_identical_bytes(self, dataset, tmp_path):
         out = tmp_path / "again"
@@ -313,7 +319,7 @@ class TestTrainCommand:
 class TestPredictCommand:
     def test_three_volumes_with_valid_payloads(self, dataset, tiny_run,
                                                tmp_path):
-        case_dir = dataset / read_dataset(dataset)["test"][0].id
+        case_dir = dataset / read_dataset(dataset, "test")[0].id
         out = tmp_path / "pred"
         code = main(["predict", "--ckpt",
                      str(tiny_run / "model" / "checkpoint.evckpt"),
@@ -326,20 +332,6 @@ class TestPredictCommand:
         assert set(np.unique(three_way.voxels)) <= {0.0, 1.0, 2.0}
         assert uncertainty.voxels.min() >= 0.0
         assert uncertainty.voxels.max() <= 1.0
-
-    def test_stride_over_patch_exit_code(self, tiny_run, tmp_path, capsys):
-        # 16^3 windows at 0 and 32 on a 48^3 case: stride 40 would leave
-        # voxels 16-31 of each axis unpredicted
-        case_dir = tmp_path / "case"
-        write_case(generate_phantom(3, (48, 48, 48), (1, 2)), case_dir)
-        out = tmp_path / "pred"
-        code = main(["predict", "--ckpt",
-                     str(tiny_run / "model" / "checkpoint.evckpt"),
-                     "--case", str(case_dir), "--out", str(out),
-                     "--stride", "40"])
-        assert code == EXIT_CONFIG
-        assert "stride 40" in capsys.readouterr().err
-        assert not out.exists()
 
 
 class TestEvalCommand:
@@ -363,6 +355,26 @@ class TestEvalCommand:
                      "--data", str(dataset), "--split", "holdout",
                      "--out", str(tmp_path / "e")])
         assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "splits.json" in err and "'holdout'" in err
+
+    def test_reads_only_the_scored_split(self, dataset, tiny_run, tmp_path,
+                                         monkeypatch):
+        # the 3/2/1 dataset: the one test case's three volumes, not all 18
+        paths = []
+        read = vio.read_volume
+
+        def counting_read(path):
+            paths.append(path)
+            return read(path)
+
+        monkeypatch.setattr(vio, "read_volume", counting_read)
+        code = main(["eval", "--ckpt",
+                     str(tiny_run / "model" / "checkpoint.evckpt"),
+                     "--data", str(dataset), "--split", "test",
+                     "--out", str(tmp_path / "e")])
+        assert code == EXIT_OK
+        assert len(paths) == 3
 
     def test_missing_head_tensor_exit_code(self, dataset, tiny_run, tmp_path,
                                            capsys):
@@ -391,7 +403,7 @@ class TestEvalCommand:
 @pytest.mark.parametrize("command", ["eval", "train", "predict"])
 def test_missing_file_exit_code(dataset, tmp_path, capsys, command):
     missing = str(tmp_path / "missing")
-    case = str(dataset / read_dataset(dataset)["test"][0].id)
+    case = str(dataset / read_dataset(dataset, "test")[0].id)
     argv = {"eval": ["eval", "--ckpt", missing, "--data", str(dataset)],
             "train": ["train", "--config", missing, "--data", str(dataset)],
             "predict": ["predict", "--ckpt", missing, "--case", case]}
@@ -448,9 +460,7 @@ class TestReproduceCommand:
         out = tmp_path / "exp"
         reproduce(out, cases=10, epochs=1)
         assert len(gate_calls) == 1
-        splits = read_dataset(out / "data")
-        assert (len(splits["train"]), len(splits["val"]),
-                len(splits["test"])) == (8, 1, 1)
+        assert split_sizes(out / "data") == [8, 1, 1]
         runs = [(head, seed) for head in HEADS for seed in SEEDS]
         assert sorted(p.name for p in out.iterdir()) == sorted(
             ["data"] + [f"{head}_s{seed}" for head, seed in runs])
@@ -498,6 +508,18 @@ def test_readme_config_example_parses():
     assert blocks
     for block in blocks:
         resolved(RunConfig(json.loads(block)))
+
+
+def test_readme_flags_exist():
+    # every `--flag` the README's prose or blocks name in backticks is an
+    # option of some subcommand, so a deleted flag cannot stay documented
+    readme = (Path(__file__).resolve().parent.parent
+              / "README.md").read_text()
+    named = set(re.findall(r"`(--[a-z][\w-]*)", readme))
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    options = {flag for sub in subparsers.values()
+               for action in sub._actions for flag in action.option_strings}
+    assert named and named <= options, sorted(named - options)
 
 
 def test_readme_commands_parse():

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from evidseg.metrics import (ConfusionCounts, MetricReport, METRIC_NAMES,
-                             compute_metrics, confusion, evaluate_cases,
+from evidseg.metrics import (ConfusionCounts, METRIC_NAMES, compute_metrics,
+                             confusion, evaluate_cases, format_table,
                              sliding_window_masses, window_starts)
 from evidseg.volume_io import generate_phantom
 
@@ -115,22 +115,22 @@ class TestEvaluateCases:
         report = evaluate_cases(lambda c: c.mask.voxels,
                                 [FakeCase("only", mask)])
         for name in METRIC_NAMES:
-            assert report.aggregate[name] == report.per_patient[0][name]
+            assert report["aggregate"][name] == report["per_patient"][0][name]
 
     def test_mean_of_perfect_and_total_miss(self):
         ones = np.ones((2, 2, 2))
         predict = lambda c: ones if c.id == "hit" else np.zeros((2, 2, 2))
         report = evaluate_cases(predict, [FakeCase("hit", ones),
                                           FakeCase("miss", ones)])
-        assert report.aggregate["dice"] == pytest.approx(0.5)
+        assert report["aggregate"]["dice"] == pytest.approx(0.5)
 
     def test_case_order_invariance(self):
         rng = np.random.default_rng(6)
         cases = [FakeCase(f"c{i}", (rng.random((2, 2, 2)) < 0.5)
                           .astype(float)) for i in range(4)]
         predict = lambda c: c.mask.voxels
-        a = evaluate_cases(predict, cases).as_dict()
-        b = evaluate_cases(predict, cases[::-1]).as_dict()
+        a = evaluate_cases(predict, cases)
+        b = evaluate_cases(predict, cases[::-1])
         assert a == b
 
     def test_empty_case_list(self):
@@ -138,10 +138,10 @@ class TestEvaluateCases:
             evaluate_cases(lambda c: None, [])
 
     def test_table_contains_all_columns(self):
-        report = MetricReport(
-            per_patient=[{"id": "c0", **{m: 1.0 for m in METRIC_NAMES}}],
-            aggregate={m: 1.0 for m in METRIC_NAMES})
-        table = report.as_table()
+        report = {
+            "per_patient": [{"id": "c0", **{m: 1.0 for m in METRIC_NAMES}}],
+            "aggregate": {m: 1.0 for m in METRIC_NAMES}}
+        table = format_table(report)
         for name in METRIC_NAMES:
             assert name in table
         assert "mean" in table
@@ -149,25 +149,46 @@ class TestEvaluateCases:
 
 class TestSlidingWindow:
     def test_window_starts_cover_extent(self):
-        starts = window_starts(40, 32, 16)
+        starts = window_starts(40, 32)
         assert starts == [0, 8]
         assert starts[-1] + 32 == 40
 
     def test_exact_fit_single_window(self):
-        assert window_starts(32, 32, 16) == [0]
+        assert window_starts(32, 32) == [0]
 
     def test_patch_larger_than_extent_rejected(self):
         with pytest.raises(ValueError):
-            window_starts(16, 32, 16)
+            window_starts(16, 32)
 
-    @pytest.mark.parametrize("stride", [0, -16, 17])
-    def test_stride_outside_one_to_patch_rejected(self, stride):
-        # 17 would skip voxel 16, between the windows at 0 and 17
-        with pytest.raises(ValueError, match=f"stride {stride}"):
-            window_starts(48, 16, stride)
+    def test_reference_patch_steps_by_16(self):
+        assert window_starts(48, 32) == [0, 16]
 
     def test_stride_equal_to_patch_tiles_extent(self):
-        assert window_starts(48, 16, 16) == [0, 16, 32]
+        # the stride is half the patch, rounded up, at every patch size
+        assert window_starts(48, 16) == [0, 8, 16, 24, 32]
+        assert window_starts(10, 3) == [0, 2, 4, 6, 7]
+
+    @staticmethod
+    def window_shapes(dims, patch_dims):
+        """The input shape of each `forward_fn` call on a (2, *dims) input."""
+        calls = []
+
+        def forward(patch):
+            calls.append(patch.shape)
+            return np.full(patch.shape[0:1] + patch.shape[2:] + (3,), 1 / 3)
+
+        out = sliding_window_masses(forward, np.zeros((2,) + dims),
+                                    patch_dims)
+        assert out.shape == dims + (3,)
+        return calls
+
+    def test_reference_geometry_runs_eight_windows(self):
+        assert self.window_shapes((48, 48, 48), (32, 32, 32)) == [
+            (1, 2, 32, 32, 32)] * 8
+
+    def test_patch_cut_to_volume(self):
+        assert self.window_shapes((16, 48, 16), (32, 32, 32)) == [
+            (1, 2, 16, 32, 16)] * 2
 
     def test_constant_forward_reproduced(self):
         mass = np.array([0.6, 0.3, 0.1])
@@ -177,8 +198,7 @@ class TestSlidingWindow:
             return np.broadcast_to(mass, shape)
 
         x = np.zeros((2, 48, 32, 32))
-        out = sliding_window_masses(forward, x, patch_dims=(32, 32, 32),
-                                    stride=16)
+        out = sliding_window_masses(forward, x, patch_dims=(32, 32, 32))
         assert out.shape == (48, 32, 32, 3)
         np.testing.assert_allclose(out, np.broadcast_to(mass, out.shape),
                                    atol=1e-12)
@@ -192,8 +212,7 @@ class TestSlidingWindow:
             return raw / raw.sum(axis=-1, keepdims=True)
 
         x = np.zeros((2, 48, 48, 32))
-        out = sliding_window_masses(forward, x, patch_dims=(32, 32, 32),
-                                    stride=16)
+        out = sliding_window_masses(forward, x, patch_dims=(32, 32, 32))
         assert np.all(out >= 0)
         np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-12)
 
@@ -211,7 +230,6 @@ class TestSlidingWindow:
 
         from evidseg.trainer import prepare_case
         x, _ = prepare_case(case)
-        out = sliding_window_masses(forward, x, patch_dims=(32, 32, 32),
-                                    stride=16)
+        out = sliding_window_masses(forward, x, patch_dims=(32, 32, 32))
         binary = (out[..., 0] + 0.5 * out[..., 2]) > 0.5
         assert binary.shape == mask.shape

@@ -230,7 +230,7 @@ class TestDatasetDir:
         splits = {"train": ["case_0", "case_1"], "val": ["case_2"],
                   "test": ["case_3"]}
         write_dataset(cases, splits, tmp_path / "ds")
-        back = read_dataset(tmp_path / "ds")
+        back = {name: read_dataset(tmp_path / "ds", name) for name in splits}
         assert {name: [c.id for c in split]
                 for name, split in back.items()} == splits
         for case, again in zip(cases, back["train"] + back["val"]
@@ -255,7 +255,7 @@ class TestDatasetDir:
         write_dataset(cases, {"train": ["a", "b"]}, tmp_path)
         (tmp_path / "a" / "case.json").write_text(json.dumps({"id": "a"}))
         (tmp_path / "b" / "case.json").write_text(json.dumps({"id": "z"}))
-        assert [c.id for c in read_dataset(tmp_path)["train"]] == ["a", "b"]
+        assert [c.id for c in read_dataset(tmp_path, "train")] == ["a", "b"]
 
     @pytest.mark.parametrize("name,damage", [
         ("splits.json",
@@ -278,16 +278,24 @@ class TestDatasetDir:
         ("splits.json: case id '../.*' is not a plain directory name",
          lambda ds, c: (ds / "splits.json").write_text(
              json.dumps({"train": [f"../{ds.name}/{c}"]}))),
+        # every split is checked, not only the one read
+        ("splits.json: lists case 'ghost'",
+         lambda ds, c: (ds / "splits.json").write_text(
+             json.dumps({"train": [c], "test": ["ghost"]}))),
+        ("splits.json: lists no split 'train'",
+         lambda ds, c: (ds / "splits.json").write_text(
+             json.dumps({"test": [c]}))),
     ], ids=["splits-list", "split-string", "splits-undecodable",
             "ct-as-pet", "pet-as-mask", "splits-overlap",
-            "case-twice-in-split", "case-id-outside-dataset"])
+            "case-twice-in-split", "case-id-outside-dataset",
+            "other-split-case-missing", "split-not-listed"])
     def test_malformed_dataset_names_file(self, tmp_path, name, damage):
         case = generate_phantom(0, (16, 16, 16), (1, 2))
         case.id = "c"
         write_dataset([case], {"train": ["c"]}, tmp_path)
         damage(tmp_path, "c")
         with pytest.raises(VolumeFormatError, match=name):
-            read_dataset(tmp_path)
+            read_dataset(tmp_path, "train")
 
     def test_overlapping_splits_not_written(self, tmp_path):
         case = generate_phantom(0, (16, 16, 16), (1, 2))
@@ -335,7 +343,7 @@ class TestDatasetDir:
             json.dumps({"train": ["c", "ghost"]}))
         with pytest.raises(VolumeFormatError,
                            match="splits.json: lists case 'ghost'"):
-            read_dataset(tmp_path)
+            read_dataset(tmp_path, "train")
 
     def test_failed_json_write_keeps_old_file(self, tmp_path, monkeypatch):
         case = generate_phantom(0, (16, 16, 16), (1, 2))
@@ -357,4 +365,4 @@ class TestDatasetDir:
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(VolumeFormatError, match="splits.json"):
-            read_dataset(tmp_path)
+            read_dataset(tmp_path, "train")
