@@ -115,16 +115,18 @@ def sliding_window_masses(forward_fn, x: np.ndarray,
     The patch is cut to the volume along any axis it exceeds. `forward_fn`
     maps a (1, C, px, py, pz) input to (1, px, py, pz, 3) masses. Dividing
     each voxel's window sum by its total averages the windows: the total is
-    the voxel's window count, up to float error.
+    the voxel's window count, up to float error. The sums are kept channel
+    first, so each add and the division run over whole planes; the result
+    is a (X, Y, Z, 3) view of them.
     """
     dims = x.shape[1:]
     px, py, pz = (min(p, d) for p, d in zip(patch_dims, dims))
-    acc = np.zeros(dims + (3,), dtype=np.float64)
+    acc = np.zeros((3,) + dims, dtype=np.float64)
     for sx in window_starts(dims[0], px):
         for sy in window_starts(dims[1], py):
             for sz in window_starts(dims[2], pz):
-                sl = (slice(sx, sx + px), slice(sy, sy + py),
+                sl = (slice(None), slice(sx, sx + px), slice(sy, sy + py),
                       slice(sz, sz + pz))
-                patch = x[(slice(None),) + sl][None]
-                acc[sl] += forward_fn(patch)[0]
-    return acc / acc.sum(axis=-1, keepdims=True)
+                acc[sl] += np.moveaxis(forward_fn(x[sl][None])[0], -1, 0)
+    acc /= acc.sum(axis=0)
+    return np.moveaxis(acc, 0, -1)

@@ -14,8 +14,10 @@ zero-padded channel are copied, the k^2 (x, y) taps are strided views of
 that copy, and one batched BLAS product per slab multiplies each tap by
 its slice of the kernel; one BLAS gemv with ones(k^2) sums the tap
 products into the slab's output (the weight gradient adds them into its
-own taps) before the next slab. `as_tensor` turns any other
-operand into a constant Tensor.
+own taps) before the next slab. The padding is shared: one run of k // 2
+zeros lies between neighbouring z-rows and y-rows, not one on each side,
+so every GEMM, copy and crop runs over fewer columns. `as_tensor` turns
+any other operand into a constant Tensor.
 
 A node keeps its parents and its backward only when a parent requires a
 gradient. A no-grad node keeps no parents, so a forward on constants
@@ -303,27 +305,46 @@ def concat(tensors, axis):
 
 # -- spatial ops (N, C, X, Y, Z) ------------------------------------------
 
+def _grid(sy, sz, k):
+    """(p, pz, plane) of the shared-padding grid of (sy, sz) x-planes: p =
+    k // 2 zeros follow each z-row and p zero rows each x-plane, so a z-row
+    spans pz = sz + p columns and an x-plane plane = (sy + p) * pz. Voxel
+    (x, y, z) sits at column x * plane + y * pz + z."""
+    p = k // 2
+    pz = sz + p
+    return p, pz, (sy + p) * pz
+
+
 def _slab_planes(x, k, o):
     """(planes, cols) of `_slabs(x, k, o)`: output x-planes per slab, one at
-    least, and a full slab's padded-grid columns, to its last valid voxel."""
+    least, and a full slab's grid columns, to its last valid voxel."""
     c, sx, sy, sz = x.shape[1:]
-    pz = sz + k - 1
-    plane = (sy + k - 1) * pz
+    p, pz, plane = _grid(sy, sz, k)
     planes = min(sx, max(1, _SLAB_BYTES
                          // ((k * c + (k * k + 1) * o) * plane * x.itemsize)))
-    return planes, planes * plane - (k - 1) * (pz + 1)
+    return planes, planes * plane - p * (pz + 1)
 
 
 def _slabs(x, k, o):
-    """The z-shifted rows of x (N, C, X, Y, Z), zero-padded by p = k // 2,
-    one slab of output x-planes at a time, with every (dx, dy) tap as a
-    strided view of them; o is the output channel count, for the budget.
+    """The z-shifted rows of x (N, C, X, Y, Z) on the shared-padding grid
+    of `_grid`, one slab of output x-planes at a time, with every (dx, dy)
+    tap as a strided view of them; o is the output channel count, for the
+    budget.
 
     Yields (i, x0, x1, taps): taps is a read-only (k, k, k*C, L) view whose
     [dx, dy] matrix holds, at row (dz, c) and column j, the padded input of
     batch item i that output column j meets through tap (dx, dy, dz).
-    Output columns run over the padded (Y+2p, Z+2p) grid of x-planes x0:x1,
-    up to the last valid voxel; `_valid` views the valid ones.
+    Output columns run over the grid of x-planes x0:x1, up to the last
+    valid voxel; `_valid` views the valid ones.
+
+    Neighbouring rows and planes share one pad: each channel's copy is a
+    (X + 2p + 1, Y + p, Z + p) array holding voxel (x, y, z) at
+    [x + p, y + p, z + p]: p zero planes and then p * pz + p zeros lead
+    the first voxel, and p + 1 zero planes follow the last x-plane. A tap
+    that reaches past y = 0 or z = 0 reads the zeros that end the row or
+    plane before, and past the far side those that end its own. Tap
+    (dx, dy, dz) of output column j reads column j + dx * plane + dy * pz
+    + dz of the flattened copy.
 
     One buffer of k*C rows serves every slab. Each row is one contiguous
     run of a padded channel, so a slab copies k shifts of the input where
@@ -332,10 +353,8 @@ def _slabs(x, k, o):
     one x-plane at least.
     """
     n, c, sx, sy, sz = x.shape
-    p = k // 2
-    pz = sz + 2 * p
-    plane = (sy + 2 * p) * pz
-    xp = np.zeros((n, c, sx + 2 * p, sy + 2 * p, pz), dtype=x.dtype)
+    p, pz, plane = _grid(sy, sz, k)
+    xp = np.zeros((n, c, sx + 2 * p + 1, sy + p, pz), dtype=x.dtype)
     xp[:, :, p:p + sx, p:p + sy, p:p + sz] = x
     length, s = xp[0, 0].size, xp.itemsize
     src = np.ndarray((n, k, c, length - k + 1), x.dtype, xp, 0,
@@ -359,10 +378,11 @@ def _slabs(x, k, o):
 def _valid(a, planes, sy, sz, k):
     """The (rows, planes, sy, sz) valid voxels of the C-contiguous
     (rows, L) array a, whose columns run over `planes` x-planes of the
-    (sy + k - 1, sz + k - 1) padded grid; a view of a's buffer."""
-    pz, s = sz + k - 1, a.itemsize
+    `_grid(sy, sz, k)` grid; a view of a's buffer."""
+    _, pz, plane = _grid(sy, sz, k)
+    s = a.itemsize
     return np.ndarray((a.shape[0], planes, sy, sz), a.dtype, a, 0,
-                      (a.strides[0], (sy + k - 1) * pz * s, pz * s, s))
+                      (a.strides[0], plane * s, pz * s, s))
 
 
 def _correlate(x, w, b=None):
@@ -393,10 +413,17 @@ def _correlate(x, w, b=None):
 
 
 def conv3d(x: Tensor, w: Tensor, b: Tensor):
-    """3D correlation, odd cubic kernel, stride 1, zero same-padding."""
-    o, cin, k = w.shape[0], w.shape[1], w.shape[2]
-    if x.shape[1] != cin:
-        raise TensorError(f"conv3d channel mismatch: input {x.shape[1]}, "
+    """3D correlation, odd cubic kernel, stride 1, zero same-padding: x is
+    (N, C, X, Y, Z), w (O, C, k, k, k) and b (O,)."""
+    xs, ws = x.data.shape, w.data.shape
+    if (len(xs) != 5 or len(ws) != 5 or ws[2:] != (ws[2],) * 3
+            or ws[2] % 2 == 0 or b.data.shape != ws[:1]):
+        raise TensorError(f"conv3d needs x (N, C, X, Y, Z), w (O, C, k, k, "
+                          f"k) with odd k and b (O,), got x {xs}, w {ws}, "
+                          f"b {b.data.shape}")
+    o, cin, k = ws[:3]
+    if xs[1] != cin:
+        raise TensorError(f"conv3d channel mismatch: input {xs[1]}, "
                           f"weight {cin}")
     out_data = _correlate(x.data, w.data, b.data)
 
@@ -478,7 +505,11 @@ def maxpool3d(x: Tensor):
 
 def upsample_nearest3d(x: Tensor):
     """Nearest-neighbour 2x upsampling along all three spatial axes."""
-    out_data = x.data.repeat(2, axis=2).repeat(2, axis=3).repeat(2, axis=4)
+    # one repeat along z, then one broadcast copy doubles x and y
+    n, c, sx, sy, sz = x.shape
+    out_data = np.empty((n, c, sx, 2, sy, 2, 2 * sz), x.dtype)
+    out_data[...] = x.data.repeat(2, axis=4)[:, :, :, None, :, None]
+    out_data = out_data.reshape(n, c, 2 * sx, 2 * sy, 2 * sz)
 
     def backward(g):
         # each input voxel sums its 2x2x2 block: add neighbour pairs along

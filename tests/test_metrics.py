@@ -216,6 +216,33 @@ class TestSlidingWindow:
         assert np.all(out >= 0)
         np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-12)
 
+    def test_channel_first_sums_match_channel_last_bit_for_bit(self):
+        # the former channel-last accumulation, against random float32
+        # masses over overlapping windows cut to a non-cubic volume
+        rng = np.random.default_rng(8)
+
+        def forward(patch):
+            shape = patch.shape[0:1] + patch.shape[2:] + (3,)
+            raw = rng.uniform(0.01, 1.0, size=shape).astype(np.float32)
+            return raw / raw.sum(axis=-1, keepdims=True)
+
+        x, patch_dims = np.zeros((2, 40, 24, 33)), (32, 32, 16)
+        state = rng.bit_generator.state
+        got = sliding_window_masses(forward, x, patch_dims)
+        rng.bit_generator.state = state
+        dims = x.shape[1:]
+        acc = np.zeros(dims + (3,))
+        for sx in window_starts(40, 32):
+            for sy in window_starts(24, 24):
+                for sz in window_starts(33, 16):
+                    sl = (slice(sx, sx + 32), slice(sy, sy + 24),
+                          slice(sz, sz + 16))
+                    acc[sl] += forward(x[(slice(None),) + sl][None])[0]
+        want = acc / acc.sum(axis=-1, keepdims=True)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.uint64),
+                                      want.view(np.uint64))
+
     def test_end_to_end_on_phantom_identity_predictor(self):
         case = generate_phantom(9, (48, 32, 32), (1, 2))
         mask = case.mask.voxels

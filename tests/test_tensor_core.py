@@ -248,6 +248,20 @@ class TestStructuredOps:
         with pytest.raises(TensorError, match="channel mismatch"):
             conv3d(x, w, Tensor(np.zeros(3)))
 
+    @pytest.mark.parametrize("x_shape, w_shape, b_shape", [
+        ((1, 2, 4, 4, 4), (3, 2, 2, 2, 2), (3,)),  # even kernel
+        ((1, 2, 4, 4, 4), (3, 2, 3, 3, 1), (3,)),  # kernel not cubic
+        ((2, 4, 4, 4), (3, 2, 3, 3, 3), (3,)),  # input not 5-D
+        ((1, 2, 4, 4, 4), (3, 2, 3, 3, 3), (4,)),  # bias not (O,)
+    ])
+    def test_conv3d_rejects_malformed_operands(self, x_shape, w_shape,
+                                               b_shape):
+        operands = [Tensor(np.zeros(s)) for s in (x_shape, w_shape, b_shape)]
+        with pytest.raises(TensorError) as info:
+            conv3d(*operands)
+        for shape in (x_shape, w_shape, b_shape):
+            assert str(shape) in str(info.value)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_maxpool_pairwise_maxima_match_first_wins_gather(self, dtype):
         # relu outputs with many exact ties (zeros and a repeated value),
@@ -318,6 +332,18 @@ class TestStructuredOps:
         assert out.shape == (1, 1, 4, 4, 4)
         np.testing.assert_array_equal(out[0, 0, :2, :2, :2], x[0, 0, 0, 0, 0])
 
+    @pytest.mark.parametrize("dtype, bits", [(np.float32, np.uint32),
+                                             (np.float64, np.uint64)])
+    def test_upsample_is_three_repeats_bit_for_bit(self, dtype, bits):
+        # a non-contiguous input: every other x-plane, z reversed
+        rng = np.random.default_rng(19)
+        x = rng.standard_normal((2, 3, 6, 3, 4)).astype(dtype)[:, :, ::2,
+                                                                :, ::-1]
+        out = upsample_nearest3d(Tensor(x)).data
+        want = x.repeat(2, axis=2).repeat(2, axis=3).repeat(2, axis=4)
+        assert out.dtype == dtype and out.flags.c_contiguous
+        np.testing.assert_array_equal(out.view(bits), want.view(bits))
+
     def test_upsample_backward_sums_each_block(self):
         # the pairwise strided adds against one reshape-sum per 2x2x2 block
         rng = np.random.default_rng(12)
@@ -386,15 +412,15 @@ class TestConv3dSlabs:
     OUT = 3
 
     @staticmethod
-    def force_planes(monkeypatch, planes, k):
+    def force_planes(monkeypatch, planes, k, shape=SHAPE, out=OUT):
         # the slab budget of `planes` x-planes of the float64 z-shift rows
-        # (k * 2 of them), tap products (k^2 * 3 rows) and their sum
-        # (3 rows), each x-plane spanning the padded (3 + k - 1) * (4 + k - 1)
-        # grid
-        n, c, sx, sy, sz = TestConv3dSlabs.SHAPE
+        # (k * C of them), tap products (k^2 * O rows) and their sum
+        # (O rows), each x-plane spanning the shared-padding grid's
+        # (Y + k // 2) * (Z + k // 2) columns
+        n, c, sx, sy, sz = shape
+        p = k // 2
         monkeypatch.setattr(tc, "_SLAB_BYTES", planes * (
-            k * c + (k * k + 1) * TestConv3dSlabs.OUT)
-            * (sy + k - 1) * (sz + k - 1) * 8)
+            k * c + (k * k + 1) * out) * (sy + p) * (sz + p) * 8)
 
     @staticmethod
     def arrays(seed, k):
@@ -425,15 +451,44 @@ class TestConv3dSlabs:
         self.force_planes(monkeypatch, planes, k)
         x, w, b, g = self.arrays(8, k)
         c, sy, sz = x.shape[1], x.shape[3], x.shape[4]
-        # k * C rows; columns on the padded grid, up to the slab's last
-        # valid voxel, the halo of the taps' reach excluded
-        py, pz = sy + k - 1, sz + k - 1
+        # k * C rows; columns on the shared-padding grid, up to the slab's
+        # last valid voxel, the halo of the taps' reach excluded
+        p = k // 2
+        py, pz = sy + p, sz + p
         slabs = [(i, x1 - x0, taps.shape)
                  for i, x0, x1, taps in tc._slabs(x, k, self.OUT)]
         assert slabs == [
-            (i, s, (k, k, k * c, s * py * pz - (k - 1) * (pz + 1)))
+            (i, s, (k, k, k * c, s * py * pz - p * (pz + 1)))
             for i in range(2) for s in widths]
         self.check_against_direct(x, w, b, g)
+
+    def test_random_shapes_and_budgets_match_direct_summation(
+            self, monkeypatch):
+        # every kernel size on extents 1-6, where taps reach past both
+        # sides of the grid at once, with slab budgets down to one plane
+        rng = np.random.default_rng(18)
+        for trial in range(60):
+            k = (1, 3, 5)[trial % 3]
+            shape = (int(rng.integers(1, 3)), int(rng.integers(1, 4))) + tuple(
+                int(e) for e in rng.integers(1, 7, size=3))
+            out = int(rng.integers(1, 4))
+            self.force_planes(monkeypatch, int(rng.integers(1, shape[2] + 1)),
+                              k, shape, out)
+            x = rng.standard_normal(shape)
+            w = 0.3 * rng.standard_normal((out, shape[1], k, k, k))
+            b = rng.standard_normal(out)
+            g = rng.standard_normal((shape[0], out) + shape[2:])
+            self.check_against_direct(x, w, b, g)
+
+    @pytest.mark.parametrize("extent, cols", [(2, 14), (4, 94),
+                                              (32, 34_814)])
+    def test_whole_grid_columns(self, monkeypatch, extent, cols):
+        # k = 3: one shared zero column after each z-row and one zero row
+        # after each x-plane, so extent^3 voxels span
+        # extent * (extent + 1)^2 - (extent + 2) columns
+        monkeypatch.setattr(tc, "_SLAB_BYTES", 1 << 40)
+        x = np.zeros((1, 1) + (extent,) * 3)
+        assert tc._slab_planes(x, 3, 1) == (extent, cols)
 
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize("shape, out_channels", [
@@ -467,9 +522,10 @@ class TestConv3dSlabs:
         # 56.6 MB. A forward and backward holds at most, at the same time:
         # - the output and its gradient (2 * out);
         # - the input gradient, which becomes x.grad uncopied (x);
-        # - one zero-padded copy of x or of g, at most (34/32)^3 * x;
+        # - one zero-padded copy of x or of g on the shared-padding grid,
+        #   35 x-planes of 33 * 33 per channel;
         # - one slab of about _SLAB_BYTES: the z-shift rows (3 * 8 of them
-        #   over the padded 34^2 grid, with two x-planes of reach), the tap
+        #   over the 33^2 grid, with two x-planes of reach), the tap
         #   products (9 rows per output channel: 4 channels in the forward,
         #   8 in the input gradient) and their gemv sum (one row per output
         #   channel), or g on the padded grid; the bound allows the larger
@@ -484,7 +540,8 @@ class TestConv3dSlabs:
         b = Tensor(np.zeros(4, np.float32), requires_grad=True)
         x_bytes, out_bytes = x.data.nbytes, x.data.nbytes // 2
         slab = max(tc._SLAB_BYTES, 8 * 27 * 32 * 32 * 4)
-        bound = (2 * out_bytes + x_bytes + (34 / 32) ** 3 * x_bytes
+        bound = (2 * out_bytes + x_bytes
+                 + 35 * 33 * 33 / 32 ** 3 * x_bytes
                  + slab + (64 << 10))
         tracemalloc.start()
         try:
@@ -509,11 +566,12 @@ class TestSlabViews:
         with pytest.raises(ValueError):
             taps[0, 0, 0, 0] = 1.0
 
-    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("k", [1, 3, 5])
     def test_valid_is_the_crop_of_the_padded_grid(self, k):
         planes, sy, sz = 2, 3, 4
-        py, pz = sy + k - 1, sz + k - 1
-        cols = planes * py * pz - (k - 1) * (pz + 1)
+        p = k // 2
+        py, pz = sy + p, sz + p
+        cols = planes * py * pz - p * (pz + 1)
         a = np.arange(3 * cols, dtype=np.float64).reshape(3, cols)
         grid = np.zeros((3, planes * py * pz))
         grid[:, :cols] = a
@@ -524,8 +582,8 @@ class TestSlabViews:
         assert (a < 0).sum() == 3 * planes * sy * sz
 
     def test_valid_over_too_short_an_array_raises(self):
-        # one column short of 2 planes of the (3 + 2, 4 + 2) padded grid
-        cols = 2 * 5 * 6 - 2 * 7
+        # one column short of 2 planes of the (3 + 1, 4 + 1) grid at k = 3
+        cols = 2 * 4 * 5 - 1 * 6
         with pytest.raises(ValueError):
             tc._valid(np.zeros((3, cols - 1)), 2, 3, 4, 3)
 
