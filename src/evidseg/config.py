@@ -21,11 +21,10 @@ SECTIONS = {
     "backbone": ("channels",),
     "es": ("head", "prototypes", "alpha_init", "gamma_init"),
     "loss": ("lambda",),
-    "train": ("lr", "epochs", "batch_size", "patch_dims", "seed", "adam",
-              "lesion_patch_fraction"),
+    "train": ("lr", "epochs", "batch_size", "patch_dims", "seed"),
 }
 # keys whose field names differ; every other key is its field's name
-_FIELDS = {"lambda": "lam", "adam": ("beta1", "beta2", "eps")}
+_FIELDS = {"lambda": "lam"}
 # keys that only the evidential head reads, so the softmax head refuses them
 EVIDENTIAL_KEYS = {"es": ("prototypes", "alpha_init", "gamma_init"),
                    "loss": ("lambda",)}
@@ -50,14 +49,7 @@ class RunConfig:
                 if key not in SECTIONS[section]:
                     raise ConfigError(
                         f"unknown key {key!r} in section {section!r}")
-                names = _FIELDS.get(key, key)
-                if isinstance(names, str):
-                    self._values[names] = value
-                elif isinstance(value, list) and len(value) == len(names):
-                    self._values.update(zip(names, value))
-                else:
-                    raise ConfigError(f"{section}.{key} must be a list of "
-                                      f"{len(names)} numbers")
+                self._values[_FIELDS.get(key, key)] = value
         self.head = self._values.pop("head", HEADS[0])
         if self.head not in HEADS:
             raise ConfigError(f"unknown head {self.head!r}")
@@ -70,8 +62,8 @@ class RunConfig:
     @classmethod
     def from_file(cls, path):
         try:
-            doc = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as e:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise ConfigError(f"{path}: invalid JSON ({e})") from e
         if not isinstance(doc, dict):
             raise ConfigError(f"{path}: top level must be an object")

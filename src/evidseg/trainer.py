@@ -22,8 +22,12 @@ from .seeding import derive_seed
 from .volume_io import PatientCase, read_framed, write_framed
 
 CKPT_MAGIC = b"EVIDCKPT"
-CKPT_VERSION = 2
+CKPT_VERSION = 3
 HEADS = ("evidential", "softmax")  # the first is the default
+# Adam's (beta1, beta2, eps), the published defaults (Kingma & Ba, 2015)
+ADAM = (0.9, 0.999, 1e-8)
+# the share of training patches centred on a lesion voxel
+LESION_PATCH_FRACTION = 0.5
 
 
 class TrainingError(ArithmeticError):
@@ -42,16 +46,11 @@ class TrainConfig:
     batch_size: int = 2
     patch_dims: tuple = (32, 32, 32)
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    lesion_patch_fraction: float = 0.5
 
     def __post_init__(self):
         for name in ("epochs", "batch_size", "prototypes", "seed"):
             setattr(self, name, bb.as_int(name, getattr(self, name)))
-        for name in ("lr", "lam", "alpha_init", "gamma_init", "beta1",
-                     "beta2", "eps", "lesion_patch_fraction"):
+        for name in ("lr", "lam", "alpha_init", "gamma_init"):
             setattr(self, name, bb.as_real(name, getattr(self, name)))
         self.patch_dims = bb.as_ints("patch_dims", self.patch_dims)
         # chained comparisons are false for NaN, so NaN fails every check
@@ -70,13 +69,6 @@ class TrainConfig:
             raise ValueError("gamma_init must lie in [0, float32 max]")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        for name in ("beta1", "beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1)")
-        if not 0.0 < self.eps < math.inf:
-            raise ValueError("eps must be positive and finite")
-        if not 0.0 <= self.lesion_patch_fraction <= 1.0:
-            raise ValueError("lesion_patch_fraction must lie in [0, 1]")
         if len(self.patch_dims) != 3 or min(self.patch_dims) < 1:
             raise ValueError(f"patch_dims must be three positive sizes, "
                              f"got {self.patch_dims}")
@@ -191,7 +183,7 @@ def adam_step(params: dict, grads: dict, state: dict, t: int,
     """Standard bias-corrected Adam update, in place on `params`."""
     if t < 1:
         raise ValueError("step index t starts at 1")
-    b1, b2, eps = config.beta1, config.beta2, config.eps
+    b1, b2, eps = ADAM
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
@@ -354,7 +346,7 @@ def train(model: Model, train_cases, val_cases, config: TrainConfig,
             xs, gs = [], []
             for i in idx:
                 x, g = train_data[i]
-                want = rng.random() < config.lesion_patch_fraction
+                want = rng.random() < LESION_PATCH_FRACTION
                 px, pg = sample_patch(x, g, config.patch_dims, rng, want)
                 xs.append(px)
                 gs.append(pg)

@@ -26,7 +26,6 @@ NON_DEFAULT = {
     "channels": [2, 4], "head": "softmax", "prototypes": 3,
     "alpha_init": 0.25, "gamma_init": 0.04, "lambda": 1e-4, "lr": 1e-2,
     "epochs": 3, "batch_size": 4, "patch_dims": [16, 16, 16], "seed": 1,
-    "adam": [0.8, 0.99, 1e-7], "lesion_patch_fraction": 0.25,
 }
 
 
@@ -77,8 +76,9 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=re.escape(f"{section}.{key}")):
             RunConfig(doc)
 
-    @pytest.mark.parametrize("section,key", [("train", "learnig_rate"),
-                                             ("backbone", "in_channels")])
+    @pytest.mark.parametrize("section,key", [
+        ("train", "learnig_rate"), ("backbone", "in_channels"),
+        ("train", "adam"), ("train", "lesion_patch_fraction")])
     def test_unknown_key_named_in_error(self, section, key):
         with pytest.raises(ConfigError, match=key):
             RunConfig({section: {key: 1}})
@@ -109,6 +109,12 @@ class TestRunConfig:
         path = tmp_path / "c.json"
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="JSON"):
+            RunConfig.from_file(path)
+
+    def test_undecodable_file_named_in_error(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_bytes(b"\xff{}")
+        with pytest.raises(ConfigError, match=re.escape(str(path))):
             RunConfig.from_file(path)
 
     def test_overrides_merge_with_defaults(self):
@@ -495,11 +501,13 @@ class TestReproduceCommand:
                      "--count", "10"]) == EXIT_CONFIG
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
 def readme_blocks(info):
     """The bodies of the README's fenced blocks whose info string matches
     the regular expression `info`."""
-    readme = (Path(__file__).resolve().parent.parent
-              / "README.md").read_text()
+    readme = README.read_text()
     return re.findall(rf"^```{info}\n(.*?)^```", readme, flags=re.M | re.S)
 
 
@@ -510,11 +518,24 @@ def test_readme_config_example_parses():
         resolved(RunConfig(json.loads(block)))
 
 
+def test_readme_keys_are_the_accepted_keys():
+    # the README's bullet list of accepted keys names exactly the keys of
+    # config.SECTIONS, section by section
+    listing = README.read_text().split(
+        "These are the accepted keys:\n\n", 1)[1].split("\n\n", 1)[0]
+    documented = {}
+    for item in re.split(r"^- ", listing, flags=re.M)[1:]:
+        section, rest = item.split(":", 1)
+        # a parenthesis holds a key's values, not keys
+        documented[section.strip("`")] = tuple(
+            re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", rest)))
+    assert documented == SECTIONS
+
+
 def test_readme_flags_exist():
     # every `--flag` the README's prose or blocks name in backticks is an
     # option of some subcommand, so a deleted flag cannot stay documented
-    readme = (Path(__file__).resolve().parent.parent
-              / "README.md").read_text()
+    readme = README.read_text()
     named = set(re.findall(r"`(--[a-z][\w-]*)", readme))
     subparsers = build_parser()._subparsers._group_actions[0].choices
     options = {flag for sub in subparsers.values()

@@ -1,9 +1,13 @@
 """Static checks over the package source."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+
+from evidseg.backbone_unet import BackboneConfig
+from evidseg.trainer import TrainConfig
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent
                   / "src" / "evidseg").glob("*.py"))
@@ -32,3 +36,28 @@ def test_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def attributes_read(source: str, skip_class: str) -> set:
+    """The attribute names `source` loads, outside the body of the class
+    named `skip_class`."""
+    tree = ast.parse(source)
+    skipped = {id(node) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+               and c.name == skip_class for node in ast.walk(c)}
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load) and id(node) not in skipped}
+
+
+def test_scan_skips_the_declaring_class():
+    assert attributes_read("class C:\n    def f(self):\n        self.a\n"
+                           "def g(c):\n    c.b = c.d\n", "C") == {"d"}
+
+
+@pytest.mark.parametrize("cls", [TrainConfig, BackboneConfig],
+                         ids=lambda cls: cls.__name__)
+def test_every_config_field_is_read(cls):
+    # a setting that no code reads would be accepted and then ignored
+    read = set().union(*(attributes_read(p.read_text(), cls.__name__)
+                         for p in SOURCES))
+    assert [f.name for f in fields(cls) if f.name not in read] == []

@@ -11,8 +11,9 @@ from evidseg import gradcheck
 from evidseg.backbone_unet import DESK_CHANNELS, FULL_CHANNELS, BackboneConfig
 from evidseg.evidential_head import LESION, memberships, strengths
 from evidseg.objectives import dice_loss, lesion_map, total_loss
-from evidseg.trainer import (HEADS, Model, TrainConfig, TrainingError,
-                             adam_init, adam_step, init_es_params,
+from evidseg.trainer import (ADAM, HEADS, LESION_PATCH_FRACTION, Model,
+                             TrainConfig, TrainingError, adam_init,
+                             adam_step, init_es_params,
                              load_checkpoint, param_shapes, prepare_case,
                              sample_patch, save_checkpoint, train)
 from evidseg.volume_io import PatientCase, Volume, generate_phantom
@@ -41,7 +42,8 @@ class TestConfig:
         c = TrainConfig()
         assert (c.lr, c.epochs, c.lam, c.prototypes) == (1e-3, 50, 1e-5, 20)
         assert (c.alpha_init, c.gamma_init) == (0.5, 0.01)
-        assert (c.beta1, c.beta2, c.eps) == (0.9, 0.999, 1e-8)
+        assert ADAM == (0.9, 0.999, 1e-8)
+        assert LESION_PATCH_FRACTION == 0.5
 
     @pytest.mark.parametrize("kw", [dict(lr=0.0), dict(epochs=0),
                                     dict(prototypes=0), dict(alpha_init=1.0),
@@ -54,17 +56,15 @@ class TestConfig:
         ("lr", math.nan), ("lr", math.inf), ("lam", math.nan),
         ("lam", math.inf), ("lam", -1e-5), ("gamma_init", math.nan),
         ("gamma_init", math.inf), ("gamma_init", 1e40), ("batch_size", 0),
-        ("beta1", math.nan), ("beta1", 1.0), ("beta2", math.inf),
-        ("eps", math.nan), ("eps", math.inf), ("eps", 0.0),
-        ("lesion_patch_fraction", math.nan),
-        ("lesion_patch_fraction", math.inf),
-        ("lesion_patch_fraction", 1.5), ("patch_dims", (0, 0, 0)),
+        ("alpha_init", math.nan), ("alpha_init", math.inf),
+        ("alpha_init", 0.0), ("alpha_init", -0.5), ("alpha_init", True),
+        ("alpha_init", None), ("prototypes", True), ("batch_size", True),
+        ("lr", -1e-3), ("patch_dims", (0, 0, 0)),
         ("patch_dims", (16, -1, 16)), ("patch_dims", (16, 16)),
         ("epochs", 1.5), ("epochs", True), ("batch_size", 1.5),
         ("prototypes", 2.5), ("seed", True), ("seed", 1.5),
         ("patch_dims", (16.7, 16, 16)), ("patch_dims", (16, True, 16)),
-        ("lr", True), ("lam", True), ("gamma_init", True), ("eps", True),
-        ("lesion_patch_fraction", True), ("lr", "0.001"), ("beta1", None)])
+        ("lr", True), ("lam", True), ("gamma_init", True), ("lr", "0.001")])
     def test_untrainable_value_named_in_error(self, name, value):
         with pytest.raises(ValueError, match=name):
             TrainConfig(**{name: value})
@@ -77,8 +77,9 @@ class TestConfig:
         assert all(type(d) is int for d in c.patch_dims)
 
     def test_numpy_reals_become_floats(self):
-        c = TrainConfig(lr=np.float32(0.5), lam=np.int64(0), eps=1)
-        assert (type(c.lr), type(c.lam), type(c.eps)) == (float, float, int)
+        c = TrainConfig(lr=np.float32(0.5), lam=np.int64(0), gamma_init=1)
+        assert (type(c.lr), type(c.lam), type(c.gamma_init)) == (float, float,
+                                                                 int)
         json.dumps(c.__dict__)  # what save_checkpoint writes
 
     def test_largest_gamma_init_squares_finite(self):
@@ -319,16 +320,22 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="m.evckpt"):
             load_checkpoint(ckpt)
 
-    def test_version_1_checkpoint_refused_as_unsupported(self, ckpt):
-        # a version-1 config holds a field that TrainConfig no longer has;
-        # the version check comes first, so the header is not malformed
-        def to_v1(header):
-            header["version"] = 1
-            header["config"]["retired_field"] = "pignistic"
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_checkpoint_version_refused_as_unsupported(self, ckpt,
+                                                           version):
+        # an old config holds fields that TrainConfig no longer has; the
+        # version check comes first, so the header is not malformed
+        retired = {1: {"retired_field": "pignistic"},
+                   2: {"beta1": 0.9, "beta2": 0.999, "eps": 1e-8,
+                       "lesion_patch_fraction": 0.5}}[version]
 
-        rewrite_header(ckpt, to_v1)
+        def to_old(header):
+            header["version"] = version
+            header["config"].update(retired)
+
+        rewrite_header(ckpt, to_old)
         with pytest.raises(ValueError,
-                           match="unsupported checkpoint version 1"):
+                           match=f"unsupported checkpoint version {version}"):
             load_checkpoint(ckpt)
 
     def test_unknown_config_key_rejected(self, ckpt):
