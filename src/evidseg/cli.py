@@ -87,20 +87,15 @@ def cmd_train(args):
 
 # -- predict ---------------------------------------------------------------
 
-def _predict_masses_for_case(model, train_cfg, case):
-    x, _ = tr.prepare_case(case)
-    return mx.sliding_window_masses(model.predict_masses, x,
-                                    train_cfg.patch_dims)
-
-
 def cmd_predict(args):
+    # a case to segment has no mask: read only its PET and CT
     model, train_cfg, _ = tr.load_checkpoint(args.ckpt)
-    case = vio.read_case(args.case)
-    masses = _predict_masses_for_case(model, train_cfg, case)
-    binary, three_way, uncertainty = decide(masses)
+    pet, ct = (vio.read_case_volume(args.case, name) for name in ("pet", "ct"))
+    binary, three_way, uncertainty = decide(mx.sliding_window_masses(
+        model.predict_masses, tr.network_input(pet, ct), train_cfg.patch_dims))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    dims, spacing = case.pet.dims, case.pet.spacing
+    dims, spacing = pet.dims, pet.spacing
     vio.write_volume(vio.Volume(dims, spacing, "MASK", binary),
                      out / "binary.evol")
     vio.write_volume(vio.Volume(dims, spacing, "MAP", three_way),
@@ -117,7 +112,9 @@ def cmd_eval(args):
     cases = vio.read_dataset(args.data, args.split)
 
     def predict_binary(case):
-        return decide(_predict_masses_for_case(model, train_cfg, case))[0]
+        x, _ = tr.prepare_case(case)
+        return decide(mx.sliding_window_masses(model.predict_masses, x,
+                                               train_cfg.patch_dims))[0]
 
     report = mx.evaluate_cases(predict_binary, cases)
     table = mx.format_table(report)

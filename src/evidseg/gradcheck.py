@@ -1,13 +1,15 @@
 """Finite-difference verification suite covering every op kind in use.
 
-Each case builds a float64 scalar graph over random leaves, written only
-with ops the model itself records, and checks the backward gradients
-against central differences. The step (`STEP`, 1e-3) and the relative
-tolerance (`TOL`, 1e-4) are fixed constants. The checker skips elements
-that straddle a kink, a relu or max-pooling switch point, where a central
-difference is not a derivative: there the kink patterns each evaluation
-leaves on `Graph.patterns` differ. Cases that differ only in their loss
-share one builder.
+Each case factory draws one instance: a `Graph`, a float64 scalar
+function of random leaves written only with ops the model itself records,
+whose constants, drawn once per instance, live in its build's closure.
+The checker compares its backward gradients against central differences.
+The step (`STEP`, 1e-3) and the relative tolerance (`TOL`, 1e-4) are
+fixed constants. The checker skips elements that straddle a kink, a relu
+or max-pooling switch point, where a central difference is not a
+derivative: there the kink patterns each evaluation leaves on
+`Graph.patterns` differ. Cases that differ only in their loss share one
+helper.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ from . import backbone_unet as bb
 from . import evidential_head as ev
 from . import objectives as obj
 from .seeding import derive_seed
-from .tensor_core import Graph, concat, conv3d, maxpool3d, upsample_nearest3d
+from .tensor_core import (Graph, Tensor, concat, conv3d, maxpool3d,
+                          upsample_nearest3d)
 
 STEP = 1e-3
 TOL = 1e-4
@@ -45,7 +48,6 @@ class FdReport:
 
 
 def finite_difference_check(graph: Graph, leaf: str,
-                            inputs: dict | None = None,
                             sample: int | None = None,
                             rng: np.random.Generator | None = None) -> FdReport:
     """Compare backward gradients against central differences.
@@ -59,7 +61,7 @@ def finite_difference_check(graph: Graph, leaf: str,
     central difference is not a derivative estimate; they are skipped and
     counted.
     """
-    graph.forward_eval(inputs)
+    graph.forward_eval()
     base_pattern = graph.patterns
     analytic = graph.backward_gradients()[leaf]
     flat = graph.leaves[leaf].reshape(-1)
@@ -71,20 +73,23 @@ def finite_difference_check(graph: Graph, leaf: str,
     def central(i, h):
         orig = flat[i]
         flat[i] = orig + h
-        f_plus, plus_pattern = graph.forward_eval(inputs), graph.patterns
+        f_plus, plus_pattern = graph.forward_eval(), graph.patterns
         flat[i] = orig - h
-        f_minus, minus_pattern = graph.forward_eval(inputs), graph.patterns
+        f_minus, minus_pattern = graph.forward_eval(), graph.patterns
         flat[i] = orig
         if not (base_pattern == plus_pattern == minus_pattern):
             return None
         return (f_plus - f_minus) / (2.0 * h)
 
     def rel_error(a, fd):
-        # relative error with an absolute floor: elements smaller than
-        # 1e-8/TOL are held to absolute error 1e-8, since relative
-        # error on near-zero gradients only measures FD truncation noise
-        denom = max(abs(a), abs(fd), 1e-8 / TOL)
-        return abs(a - fd) / denom
+        # a NaN or infinite value, as a broken gradient gives, is the worst
+        # error there is; else relative error with an absolute floor:
+        # elements smaller than 1e-8/TOL are held to absolute error 1e-8,
+        # since relative error on near-zero gradients only measures FD
+        # truncation noise
+        if not (np.isfinite(a) and np.isfinite(fd)):
+            return np.inf
+        return abs(a - fd) / max(abs(a), abs(fd), 1e-8 / TOL)
 
     max_err, skipped = 0.0, 0
     for i in indices:
@@ -101,9 +106,7 @@ def finite_difference_check(graph: Graph, leaf: str,
             fd_fine = central(i, STEP / 8.0)
             if fd_fine is not None:
                 err = min(err, rel_error(a, fd_fine))
-        # a NaN error, as a NaN or infinite gradient gives, compares false
-        # with every bound; count it as the worst error there is
-        max_err = max(max_err, err if np.isfinite(err) else np.inf)
+        max_err = max(max_err, err)
     return FdReport(leaf=leaf, max_error=max_err, passed=max_err <= TOL,
                     checked=len(indices) - skipped, skipped_at_kink=skipped)
 
@@ -116,48 +119,48 @@ def _square_sum(t):
     return (t * t).sum()
 
 
-# -- case factories: each returns (Graph, inputs) --------------------------
+# -- case factories: each returns a Graph whose constants its build holds --
 
 def case_affine(rng):
-    x = _u(rng, 5, 4)
+    x = Tensor(_u(rng, 5, 4))
     leaves = {"w": _u(rng, 4, 3), "b": _u(rng, 3)}
     # x @ w as a broadcast product summed over the shared axis
-    build = lambda lv, iv: ((iv["x"].reshape(5, 4, 1) * lv["w"]).sum(axis=1)
-                            + lv["b"]).sigmoid().sum()
-    return Graph(build, leaves), {"x": x}
+    build = lambda lv: ((x.reshape(5, 4, 1) * lv["w"]).sum(axis=1)
+                        + lv["b"]).sigmoid().sum()
+    return Graph(build, leaves)
 
 
 def case_elementwise(rng):
     leaves = {"x": _u(rng, 12, lo=0.2, hi=2.0)}
 
-    def build(lv, iv):
+    def build(lv):
         x = lv["x"]
         return ((x * x).exp() + (1.0 - x).exp()).sum()
 
-    return Graph(build, leaves), {}
+    return Graph(build, leaves)
 
 
 def case_squashing(rng):
     leaves = {"x": _u(rng, 3, 7)}
-    build = lambda lv, iv: (lv["x"].sigmoid() * lv["x"]).sum()
-    return Graph(build, leaves), {}
+    build = lambda lv: (lv["x"].sigmoid() * lv["x"]).sum()
+    return Graph(build, leaves)
 
 
 def case_products(rng):
     leaves = {"a": _u(rng, 4, 5), "b": _u(rng, 5), "c": _u(rng, 4, 1, lo=0.5, hi=2.0)}
-    build = lambda lv, iv: (lv["a"] * lv["b"] / lv["c"]).sum()
-    return Graph(build, leaves), {}
+    build = lambda lv: (lv["a"] * lv["b"] / lv["c"]).sum()
+    return Graph(build, leaves)
 
 
 def case_reductions(rng):
     leaves = {"x": _u(rng, 3, 4, 5)}
 
-    def build(lv, iv):
+    def build(lv):
         x = lv["x"]
         return ((x.sum(axis=2, keepdims=True) * x.mean()).sum()
                 + (x * x).sum())
 
-    return Graph(build, leaves), {}
+    return Graph(build, leaves)
 
 
 def case_relu(rng):
@@ -165,33 +168,33 @@ def case_relu(rng):
     x = _u(rng, 4, 6)
     x = np.where(np.abs(x) < 0.05, 0.1 * np.sign(x) + (x == 0) * 0.1, x)
     leaves = {"x": x}
-    build = lambda lv, iv: _square_sum(lv["x"].relu())
-    return Graph(build, leaves), {}
+    build = lambda lv: _square_sum(lv["x"].relu())
+    return Graph(build, leaves)
 
 
 def case_conv3d(rng):
     leaves = {"w": _u(rng, 3, 2, 3, 3, 3), "b": _u(rng, 3),
               "x": _u(rng, 1, 2, 4, 4, 4)}
-    build = lambda lv, iv: (conv3d(lv["x"], lv["w"], lv["b"]).sigmoid()).sum()
-    return Graph(build, leaves), {}
+    build = lambda lv: (conv3d(lv["x"], lv["w"], lv["b"]).sigmoid()).sum()
+    return Graph(build, leaves)
 
 
 def case_maxpool(rng):
     leaves = {"x": _u(rng, 1, 2, 4, 4, 4)}
-    build = lambda lv, iv: _square_sum(maxpool3d(lv["x"]))
-    return Graph(build, leaves), {}
+    build = lambda lv: _square_sum(maxpool3d(lv["x"]))
+    return Graph(build, leaves)
 
 
 def case_upsample(rng):
     leaves = {"x": _u(rng, 1, 2, 3, 3, 3)}
-    build = lambda lv, iv: (upsample_nearest3d(lv["x"]).sigmoid()).sum()
-    return Graph(build, leaves), {}
+    build = lambda lv: (upsample_nearest3d(lv["x"]).sigmoid()).sum()
+    return Graph(build, leaves)
 
 
 def case_concat(rng):
     leaves = {"a": _u(rng, 1, 2, 2, 2, 2), "b": _u(rng, 1, 3, 2, 2, 2)}
-    build = lambda lv, iv: _square_sum(concat([lv["a"], lv["b"]], axis=1))
-    return Graph(build, leaves), {}
+    build = lambda lv: _square_sum(concat([lv["a"], lv["b"]], axis=1))
+    return Graph(build, leaves)
 
 
 def _es_leaves(rng, i=4, c=3):
@@ -213,90 +216,76 @@ def _head_case(m, loss_of_s):
     def factory(rng):
         leaves = {"f": _es_features(rng, m), **_es_leaves(rng)}
 
-        def build(lv, iv):
+        def build(lv):
             s = ev.distance_activation(lv["f"], lv["es.prototypes"],
                                        lv["es.gamma_roots"])
             return loss_of_s(s, lv)
 
-        return Graph(build, leaves), {}
+        return Graph(build, leaves)
 
     return factory
 
 
 def _es_volume_graph(rng, loss_of_masses, n=1, c=3, d=4, i=4):
+    """The head's forward on (n, c, d, d, d) features, scored by
+    `loss_of_masses(masses, leaves, g)` against a drawn binary truth g."""
     leaves = {"f": _u(rng, n, c, d, d, d, lo=-0.4, hi=0.4), **_es_leaves(rng, i=i, c=c)}
     g = (rng.random((n, d, d, d)) < 0.4).astype(np.float64)
-
-    def build(lv, iv):
-        masses = ev.es_forward(lv["f"], lv)
-        return loss_of_masses(masses, lv, iv)
-
-    return Graph(build, leaves), {"g": g}
+    build = lambda lv: loss_of_masses(ev.es_forward(lv["f"], lv), lv, g)
+    return Graph(build, leaves)
 
 
 def case_es_forward(rng):
-    return _es_volume_graph(rng, lambda m, lv, iv: _square_sum(m))
+    return _es_volume_graph(rng, lambda m, lv, g: _square_sum(m))
 
 
 def _dice_case(lesion_map):
     """Case factory: the soft Dice loss on `lesion_map(masses)`."""
-    def loss(masses, lv, iv):
+    def loss(masses, lv, g):
         n = masses.shape[0]
         s = lesion_map(masses).reshape(n, -1)
-        return obj.dice_loss(s, iv["g"].reshape(n, -1))
+        return obj.dice_loss(s, g.reshape(n, -1))
 
     return lambda rng: _es_volume_graph(rng, loss)
 
 
 def case_uncertainty_loss(rng):
-    def loss(masses, lv, iv):
-        return obj.uncertainty_loss(masses[:, ev.IGNORANCE])
-
-    return _es_volume_graph(rng, loss)
+    return _es_volume_graph(
+        rng, lambda m, lv, g: obj.uncertainty_loss(m[:, ev.IGNORANCE]))
 
 
-def case_total_loss(rng):
-    def loss(masses, lv, iv):
-        total, _ = obj.total_loss(masses, iv["g"].data,
-                                  lv["es.alpha_logits"], lam=1e-3)
-        return total
+def _total_loss(masses, lv, g):
+    """The full objective, at lambda 1e-3, against the truth g."""
+    return obj.total_loss(masses, g, lv["es.alpha_logits"], lam=1e-3)[0]
 
-    return _es_volume_graph(rng, loss)
+
+def _tiny_backbone(rng):
+    """(config, float64 params) of a two-level backbone."""
+    config = bb.BackboneConfig(channels=(2, 4))
+    return config, bb.init_backbone(config, int(rng.integers(1 << 31)),
+                                    dtype=np.float64)
 
 
 def case_backbone_tiny(rng):
-    config = bb.BackboneConfig(channels=(2, 4))
-    params = bb.init_backbone(config, int(rng.integers(1 << 31)),
-                              dtype=np.float64)
+    config, params = _tiny_backbone(rng)
     # nonzero biases so the zero-bias special case is not all we check
     leaves = {k: (v if not k.endswith(".b")
                   else _u(rng, *v.shape, lo=-0.1, hi=0.1))
               for k, v in params.items()}
-    x = _u(rng, 1, 2, 8, 8, 8)
-
-    def build(lv, iv):
-        feats = bb.forward_features(lv, iv["x"], config)
-        return _square_sum(feats.sigmoid())
-
-    return Graph(build, leaves), {"x": x}
+    x = Tensor(_u(rng, 1, 2, 8, 8, 8))
+    build = lambda lv: _square_sum(
+        bb.forward_features(lv, x, config).sigmoid())
+    return Graph(build, leaves)
 
 
 def case_total_loss_through_backbone(rng):
-    config = bb.BackboneConfig(channels=(2, 4))
-    params = bb.init_backbone(config, int(rng.integers(1 << 31)),
-                              dtype=np.float64)
+    config, params = _tiny_backbone(rng)
     leaves = {**params, **_es_leaves(rng, i=3, c=config.feature_dim)}
-    x = _u(rng, 1, 2, 8, 8, 8)
+    x = Tensor(_u(rng, 1, 2, 8, 8, 8))
     g = (rng.random((1, 8, 8, 8)) < 0.3).astype(np.float64)
-
-    def build(lv, iv):
-        feats = bb.forward_features(lv, iv["x"], config)
-        masses = ev.es_forward(feats, lv)
-        total, _ = obj.total_loss(masses, iv["g"].data,
-                                  lv["es.alpha_logits"], lam=1e-3)
-        return total
-
-    return Graph(build, leaves), {"x": x, "g": g}
+    build = lambda lv: _total_loss(
+        ev.es_forward(bb.forward_features(lv, x, config), lv), lv, g)
+    return Graph(build, leaves)
 
 
 CASES = {
@@ -321,7 +310,7 @@ CASES = {
     "dice_loss_pignistic": _dice_case(obj.lesion_map),
     "dice_loss_singleton": _dice_case(lambda masses: masses[:, ev.LESION]),
     "uncertainty_loss": case_uncertainty_loss,
-    "total_loss": case_total_loss,
+    "total_loss": lambda rng: _es_volume_graph(rng, _total_loss),
     "backbone_tiny": case_backbone_tiny,
     "total_loss_through_backbone": case_total_loss_through_backbone,
 }
@@ -347,12 +336,11 @@ def run_case(name, instances=20, seed=0, inject_fault=False) -> CaseResult:
     sample = SAMPLE_LIMITS.get(name)
     reports, max_err, passed = [], 0.0, True
     for _ in range(instances):
-        graph, inputs = factory(rng)
+        graph = factory(rng)
         if inject_fault:
             graph = _with_fault(graph)
         for leaf in graph.leaves:
-            r = finite_difference_check(graph, leaf, inputs=inputs,
-                                        sample=sample, rng=rng)
+            r = finite_difference_check(graph, leaf, sample=sample, rng=rng)
             reports.append(r)
             max_err = max(max_err, r.max_error)
             passed = passed and r.passed
@@ -382,11 +370,8 @@ def run_suite(names=None, instances=20, seed=0, inject_fault=None):
     if inject_fault is not None and inject_fault not in names:
         raise ValueError(f"no fault can be injected into {inject_fault!r}; "
                          f"cases run: {', '.join(names)}")
-    results = []
-    for name in names:
-        results.append(run_case(name, instances=instances, seed=seed,
-                                inject_fault=(name == inject_fault)))
-    return results
+    return [run_case(name, instances=instances, seed=seed,
+                     inject_fault=(name == inject_fault)) for name in names]
 
 
 GATE_CASES = ("conv3d", "maxpool", "es_forward", "total_loss",

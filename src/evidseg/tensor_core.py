@@ -32,9 +32,11 @@ backward has passed it. A node the caller holds keeps its `data` and
 `grad`. A fresh gradient array becomes its parent's `grad` uncopied.
 
 Layout is row-major, matching the volume file format. `Graph` is the
-float64 function the checker in `gradcheck` differentiates, and the only
-forward that records kink patterns; it stays in this module because
-perfbench's traced run wraps `tc.Graph` in place.
+float64 function of its leaves that the checker in `gradcheck`
+differentiates, and the only forward that records kink patterns: relu's
+mask and the mask of the max-pooling window entries that equal their
+pooled value. It stays in this module because perfbench's traced run
+wraps `tc.Graph` in place.
 """
 
 from __future__ import annotations
@@ -453,26 +455,17 @@ def conv3d(x: Tensor, w: Tensor, b: Tensor):
     return Tensor._make(out_data, "conv3d", (x, w, b), backward)
 
 
-def _window_argmax(x):
-    """First-wins argmax over each 2x2x2 window of x (N, C, X, Y, Z), as
-    (N, C, X/2, Y/2, Z/2) indices in (dx, dy, dz) order; NaN counts as
-    the largest value, as in `np.argmax`."""
-    n, c, sx, sy, sz = x.shape
-    v = x.reshape(n, c, sx // 2, 2, sy // 2, 2, sz // 2, 2)
-    v = np.ascontiguousarray(v.transpose(0, 1, 2, 4, 6, 3, 5, 7))
-    return v.reshape(n, c, sx // 2, sy // 2, sz // 2, 8).argmax(axis=-1)
-
-
 def maxpool3d(x: Tensor):
     """2x2x2 max pooling; spatial dims must be even.
 
-    The forward takes pairwise maxima over x, then y, then z: the values
-    of the first-wins gather at `_window_argmax`, NaN included, except
-    that a tie of -0.0 and +0.0 may come out with either sign (relu
-    outputs hold no -0.0). The argmax itself is computed only for the
-    pattern hash, inside `Graph.forward_eval`. The backward routes each
-    window's gradient to the same first maximum, found by comparing the
-    window's 8 entries with the pooled value in (dx, dy, dz) order.
+    The forward takes pairwise maxima over x, then y, then z: each
+    window's largest entry, NaN if it holds one, except that a tie of
+    -0.0 and +0.0 may come out with either sign (relu outputs hold no
+    -0.0). The backward routes each window's gradient to its first
+    maximum, found by comparing the window's 8 entries with the pooled
+    value in (dx, dy, dz) order. Inside `Graph.forward_eval` the kink
+    pattern is the mask of the entries that equal their pooled value: it
+    changes where the first maximum moves, or where a tie appears or goes.
     """
     n, c, sx, sy, sz = x.shape
     if sx % 2 or sy % 2 or sz % 2:
@@ -482,7 +475,9 @@ def maxpool3d(x: Tensor):
     d = np.maximum(d[:, :, :, 0::2], d[:, :, :, 1::2])
     out_data = np.maximum(d[..., 0::2], d[..., 1::2])
     if _PATTERNS is not None:
-        _PATTERNS.append(hash(_window_argmax(x.data).tobytes()))
+        windows = x.data.reshape(n, c, sx // 2, 2, sy // 2, 2, sz // 2, 2)
+        on_max = windows == out_data[:, :, :, None, :, None, :, None]
+        _PATTERNS.append(hash(on_max.tobytes()))
 
     def backward(g):
         gx = np.zeros(x.shape, dtype=g.dtype)
@@ -526,8 +521,9 @@ def upsample_nearest3d(x: Tensor):
 class Graph:
     """A differentiable float64 scalar function of named leaf tensors.
 
-    `build(leaves, inputs)` receives dicts of Tensors and must return a
-    scalar Tensor. Leaves are trainable; inputs are constants.
+    `build(leaves)` receives a dict of trainable Tensors, one per leaf,
+    and must return a scalar Tensor; any constant it reads lives in its
+    closure, so the leaves alone fix the graph.
 
     `patterns` holds the kink patterns of the last `forward_eval`: one
     hash per relu and max-pool its build ran, in order.
@@ -541,15 +537,13 @@ class Graph:
         self._output = None
         self._leaf_tensors = None
 
-    def forward_eval(self, inputs: dict | None = None) -> float:
+    def forward_eval(self) -> float:
         global _PATTERNS
         self._leaf_tensors = {k: Tensor(v, requires_grad=True)
                               for k, v in self.leaves.items()}
-        in_tensors = {k: Tensor(np.asarray(v, dtype=np.float64))
-                      for k, v in (inputs or {}).items()}
         _PATTERNS = []
         try:
-            out = self.build(self._leaf_tensors, in_tensors)
+            out = self.build(self._leaf_tensors)
         finally:
             self.patterns = tuple(_PATTERNS)
             _PATTERNS = None

@@ -7,6 +7,7 @@ channel 0 and CT (HU + 1000) / 2000 in channel 1.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from itertools import zip_longest
@@ -19,7 +20,7 @@ from . import metrics as mx
 from . import objectives as obj
 from . import tensor_core as tc
 from .seeding import derive_seed
-from .volume_io import PatientCase, read_framed, write_framed
+from .volume_io import PatientCase, Volume, read_framed, write_framed
 
 CKPT_MAGIC = b"EVIDCKPT"
 CKPT_VERSION = 3
@@ -199,15 +200,20 @@ def adam_step(params: dict, grads: dict, state: dict, t: int,
 
 # -- data preparation ------------------------------------------------------
 
-def prepare_case(case: PatientCase):
-    """(x, g): the float32 (2, X, Y, Z) network input, PET * 0.1 first and
-    CT (HU + 1000) / 2000 second, and the float32 binary mask."""
+def network_input(pet: Volume, ct: Volume) -> np.ndarray:
+    """A scan's float32 (2, X, Y, Z) input: PET * 0.1, CT (HU + 1000) / 2000."""
+    if pet.dims != ct.dims:
+        raise ValueError(f"PET dims {pet.dims} differ from CT dims {ct.dims}")
     # each term in the voxels' own dtype, then one cast; "+ 0.0" turns a
     # -0.0 voxel into +0.0
-    pet = (case.pet.voxels + 0.0) * 0.1
-    ct = (case.ct.voxels + 1000.0) * (1.0 / 2000.0)
-    x = np.stack([pet, ct]).astype(np.float32, copy=False)
-    return x, case.mask.voxels.astype(np.float32)
+    x = np.stack([(pet.voxels + 0.0) * 0.1,
+                  (ct.voxels + 1000.0) * (1.0 / 2000.0)])
+    return x.astype(np.float32, copy=False)
+
+
+def prepare_case(case: PatientCase):
+    """(x, g): the case's `network_input` and its float32 binary mask."""
+    return network_input(case.pet, case.ct), case.mask.voxels.astype(np.float32)
 
 
 def sample_patch(x: np.ndarray, g: np.ndarray, patch_dims, rng,
@@ -257,6 +263,14 @@ def save_checkpoint(path, model: Model, config: TrainConfig, epoch: int):
     }, [model.params[t["name"]] for t in tensors])
 
 
+def _natural(header: dict, key: str) -> int:
+    """header[key], which must be an int >= 0, not a float or a bool."""
+    value = header[key]
+    if type(value) is not int or value < 0:
+        raise TypeError(f"{key} {value!r} is not an int >= 0")
+    return value
+
+
 def load_checkpoint(path):
     """(model, config, epoch) of a file that `save_checkpoint` wrote; its
     `tensors` must be the manifest that `save_checkpoint` writes for the
@@ -266,11 +280,12 @@ def load_checkpoint(path):
         raise ValueError(f"{path}: unsupported checkpoint version "
                          f"{header.get('version')}")
     try:
+        _natural(header, "version")  # 3.0 equals 3, but is not an int
         config = TrainConfig(**header["config"])
         backbone_config = bb.BackboneConfig(
             channels=tuple(header["backbone_channels"]))
-        in_channels = header["in_channels"]
-        head, epoch = header["head"], header["epoch"]
+        in_channels = _natural(header, "in_channels")
+        head, epoch = header["head"], _natural(header, "epoch")
         if not isinstance(tensors := header["tensors"], list):
             raise TypeError("tensors is not a list")
         shapes = param_shapes(backbone_config, head, config.prototypes)
@@ -280,10 +295,12 @@ def load_checkpoint(path):
         raise ValueError(f"{path}: in_channels {in_channels!r}, expected "
                          f"{bb.IN_CHANNELS} (PET and CT)")
     expected = _manifest(shapes)
-    if tensors != expected:
-        i, found, want = next((i, a, b) for i, (a, b) in enumerate(
-            zip_longest(tensors, expected, fillvalue="nothing")) if a != b)
-        raise ValueError(f"{path}: tensors[{i}] is {found}, expected {want}")
+    # entries compare as JSON text, where an offset or extent of 8.0 or
+    # true is not the 8 or 1 that `save_checkpoint` writes
+    for i, (found, want) in enumerate(
+            zip_longest(tensors, expected, fillvalue="nothing")):
+        if json.dumps(found, sort_keys=True) != json.dumps(want, sort_keys=True):
+            raise ValueError(f"{path}: tensors[{i}] is {found}, expected {want}")
     size = 4 * sum(math.prod(s) for s in shapes.values())
     if len(blob) != size:
         raise ValueError(f"{path}: blob length {len(blob)}, expected {size}")

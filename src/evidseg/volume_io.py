@@ -165,16 +165,19 @@ def write_case(case: PatientCase, case_dir):
         write_volume(getattr(case, name), case_dir / f"{name}.evol")
 
 
+def read_case_volume(case_dir, name) -> Volume:
+    """`case_dir`'s `<name>.evol`, of the modality CASE_VOLUMES names."""
+    path = Path(case_dir) / f"{name}.evol"
+    v = read_volume(path)
+    if v.modality != CASE_VOLUMES[name]:
+        raise VolumeFormatError(
+            f"{path}: {v.modality} volume, expected {CASE_VOLUMES[name]}")
+    return v
+
+
 def read_case(case_dir) -> PatientCase:
-    case_dir = Path(case_dir)
-    volumes = {}
-    for name, modality in CASE_VOLUMES.items():
-        path = case_dir / f"{name}.evol"
-        v = volumes[name] = read_volume(path)
-        if v.modality != modality:
-            raise VolumeFormatError(
-                f"{path}: {v.modality} volume, expected {modality}")
-    return PatientCase(id=case_dir.name, **volumes)
+    return PatientCase(id=Path(case_dir).name, **{
+        name: read_case_volume(case_dir, name) for name in CASE_VOLUMES})
 
 
 # -- synthetic PET/CT phantom ---------------------------------------------

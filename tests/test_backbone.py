@@ -99,13 +99,13 @@ class TestForward:
         for name in params:
             if name.startswith("dec0.up"):
                 params[name] = np.zeros_like(params[name])
-        x = np.random.default_rng(3).standard_normal((1, 2, 8, 8, 8))
+        x = Tensor(np.random.default_rng(3).standard_normal((1, 2, 8, 8, 8)))
 
-        def build(lv, iv):
-            return forward_features(lv, iv["x"], config).sum()
+        def build(lv):
+            return forward_features(lv, x, config).sum()
 
         g = Graph(build, params)
-        g.forward_eval({"x": x})
+        g.forward_eval()
         grad = g.backward_gradients()["enc0.conv0.w"]
         assert np.abs(grad).max() > 0.0
 

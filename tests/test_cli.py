@@ -339,6 +339,40 @@ class TestPredictCommand:
         assert uncertainty.voxels.min() >= 0.0
         assert uncertainty.voxels.max() <= 1.0
 
+    def test_case_without_mask_gives_the_same_volumes(self, dataset,
+                                                      tiny_run, tmp_path):
+        # a case to segment has no ground truth: PET and CT suffice
+        full = dataset / read_dataset(dataset, "test")[0].id
+        bare = tmp_path / "bare"
+        bare.mkdir()
+        for name in ("pet.evol", "ct.evol"):
+            shutil.copy(full / name, bare / name)
+        for case in (full, bare):
+            assert main(["predict", "--ckpt",
+                         str(tiny_run / "model" / "checkpoint.evckpt"),
+                         "--case", str(case),
+                         "--out", str(tmp_path / case.name)]) == EXIT_OK
+        for name in ("binary.evol", "threeway.evol", "uncertainty.evol"):
+            assert ((tmp_path / full.name / name).read_bytes()
+                    == (tmp_path / "bare" / name).read_bytes())
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_case_without_mask_refused_naming_the_file(dataset, tiny_run,
+                                                   tmp_path, capsys, command):
+    data = tmp_path / "ds"
+    shutil.copytree(dataset, data)
+    for mask in data.glob("*/mask.evol"):
+        mask.unlink()
+    argv = {"train": ["train", "--config", str(tiny_run / "config.json"),
+                      "--skip-gradcheck"],
+            "eval": ["eval", "--ckpt",
+                     str(tiny_run / "model" / "checkpoint.evckpt")]}
+    code = main(argv[command] + ["--data", str(data),
+                                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert re.search(r"^error: .*ds/\w+/mask\.evol", capsys.readouterr().err)
+
 
 class TestEvalCommand:
     def test_report_files_written(self, dataset, tiny_run, tmp_path):

@@ -9,8 +9,9 @@ import pytest
 from evidseg.backbone_unet import BackboneConfig
 from evidseg.trainer import TrainConfig
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent
-                  / "src" / "evidseg").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "evidseg").glob("*.py"))
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -61,3 +62,35 @@ def test_every_config_field_is_read(cls):
     read = set().union(*(attributes_read(p.read_text(), cls.__name__)
                          for p in SOURCES))
     assert [f.name for f in fields(cls) if f.name not in read] == []
+
+
+
+def unread_definitions(trees: list, defining) -> list:
+    """The module-level functions and classes of the module tree
+    `defining` that no tree in `trees` loads, by name or as an attribute,
+    outside the definition itself."""
+    loads = [n for tree in trees for n in ast.walk(tree)
+             if isinstance(n, (ast.Name, ast.Attribute))
+             and isinstance(n.ctx, ast.Load)]
+    unread = []
+    for node in defining.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            own = {id(n) for n in ast.walk(node)}
+            if not any(getattr(n, "id", getattr(n, "attr", None)) == node.name
+                       and id(n) not in own for n in loads):
+                unread.append(node.name)
+    return unread
+
+
+def test_scan_finds_an_unread_definition():
+    tree = ast.parse("def f():\n    return f()\ndef g():\n    pass\n"
+                     "class C:\n    pass\nclass D:\n    pass\ng(), m.D\n")
+    assert unread_definitions([tree], tree) == ["f", "C"]
+
+
+def test_every_package_definition_is_used():
+    # a helper that only tests call belongs in tests/, not in the package
+    trees = {p: ast.parse(p.read_text()) for p in SOURCES + PERFBENCH}
+    unread = {p.name: unread_definitions(list(trees.values()), trees[p])
+              for p in SOURCES}
+    assert {name: defs for name, defs in unread.items() if defs} == {}

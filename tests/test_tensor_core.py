@@ -20,10 +20,19 @@ from evidseg.volume_io import generate_phantom
 from perfbench import tracing
 
 
-def scalar_graph(build, leaves, inputs=None):
+def scalar_graph(build, leaves):
     g = Graph(build, leaves)
-    value = g.forward_eval(inputs or {})
-    return g, value
+    return g, g.forward_eval()
+
+
+def window_argmax(x):
+    """First-wins argmax over each 2x2x2 window of x (N, C, X, Y, Z), as
+    (N, C, X/2, Y/2, Z/2) indices in (dx, dy, dz) order; NaN counts as
+    the largest value, as in `np.argmax`."""
+    n, c, sx, sy, sz = x.shape
+    v = x.reshape(n, c, sx // 2, 2, sy // 2, 2, sz // 2, 2)
+    v = np.ascontiguousarray(v.transpose(0, 1, 2, 4, 6, 3, 5, 7))
+    return v.reshape(n, c, sx // 2, sy // 2, sz // 2, 8).argmax(axis=-1)
 
 
 def direct_conv3d(x, w, b):
@@ -59,32 +68,32 @@ def direct_conv3d_grads(x, w, g):
 
 class TestForwardEval:
     def test_sum_of_zeros(self):
-        _, value = scalar_graph(lambda lv, iv: lv["x"].sum(),
+        _, value = scalar_graph(lambda lv: lv["x"].sum(),
                                 {"x": np.zeros((2, 2))})
         assert value == 0.0
 
     def test_sum_of_squares(self):
-        _, value = scalar_graph(lambda lv, iv: (lv["x"] * lv["x"]).sum(),
+        _, value = scalar_graph(lambda lv: (lv["x"] * lv["x"]).sum(),
                                 {"x": np.array([1.0, 2.0, 3.0])})
         assert value == 14.0
 
     def test_identity_scalar(self):
-        _, value = scalar_graph(lambda lv, iv: lv["x"].reshape(),
+        _, value = scalar_graph(lambda lv: lv["x"].reshape(),
                                 {"x": np.array(7.5)})
         assert value == 7.5
 
     def test_shape_mismatch_raises(self):
         with pytest.raises((TensorError, ValueError)):
-            scalar_graph(lambda lv, iv: (lv["a"] * lv["b"]).sum(),
+            scalar_graph(lambda lv: (lv["a"] * lv["b"]).sum(),
                          {"a": np.ones((2, 3)), "b": np.ones((2, 4))})
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_intermediate_reported(self):
         # exp(1000) overflows float64 to inf
-        g = Graph(lambda lv, iv: lv["x"].exp().sum(),
+        g = Graph(lambda lv: lv["x"].exp().sum(),
                   {"x": np.array([1.0, 1000.0])})
         with pytest.raises(ArithmeticError, match="exp"):
-            g.forward_eval({})
+            g.forward_eval()
 
     @pytest.mark.parametrize("trainable, op", [(True, "leaf"),
                                                (False, "reshape")])
@@ -93,32 +102,32 @@ class TestForwardEval:
         # not, and ops on constants keep no parents, so the report names
         # the first op that read it
         x = np.array([1.0, np.nan])
-        leaves, inputs = ({"x": x}, {}) if trainable else ({}, {"x": x})
+        leaves = {"x": x} if trainable else {}
 
-        def build(lv, iv):
+        def build(lv):
             w = Tensor(np.ones(2), requires_grad=True)
-            return ({**lv, **iv}["x"].reshape(2, 1) * w).sum()
+            return (lv.get("x", Tensor(x)).reshape(2, 1) * w).sum()
 
         with pytest.raises(tc.NonFiniteError) as err:
-            Graph(build, leaves).forward_eval(inputs)
+            Graph(build, leaves).forward_eval()
         assert err.value.op == op
 
 
 class TestBackwardGradients:
     def test_sum_of_squares_gradient(self):
-        g, _ = scalar_graph(lambda lv, iv: (lv["x"] * lv["x"]).sum(),
+        g, _ = scalar_graph(lambda lv: (lv["x"] * lv["x"]).sum(),
                             {"x": np.array([1.0, 2.0, 3.0])})
         grads = g.backward_gradients()
         np.testing.assert_allclose(grads["x"], [2.0, 4.0, 6.0])
 
     def test_linear_map_gradient_is_ones(self):
-        g, _ = scalar_graph(lambda lv, iv: lv["x"].sum(),
+        g, _ = scalar_graph(lambda lv: lv["x"].sum(),
                             {"x": np.ones((3, 4, 2))})
         np.testing.assert_array_equal(g.backward_gradients()["x"],
                                       np.ones((3, 4, 2)))
 
     def test_unreached_leaf_gets_zero_gradient(self):
-        g, _ = scalar_graph(lambda lv, iv: lv["x"].sum(),
+        g, _ = scalar_graph(lambda lv: lv["x"].sum(),
                             {"x": np.ones(3), "y": np.ones(5)})
         grads = g.backward_gradients()
         np.testing.assert_array_equal(grads["y"], np.zeros(5))
@@ -127,10 +136,10 @@ class TestBackwardGradients:
         rng = np.random.default_rng(0)
         leaves = {"w": rng.standard_normal((4, 3)),
                   "b": rng.standard_normal(3)}
+        x = Tensor(rng.standard_normal((5, 4)))
         g, _ = scalar_graph(
-            lambda lv, iv: ((iv["x"].reshape(5, 4, 1) * lv["w"]).sum(axis=1)
-                            + lv["b"]).sigmoid().sum(),
-            leaves, {"x": rng.standard_normal((5, 4))})
+            lambda lv: ((x.reshape(5, 4, 1) * lv["w"]).sum(axis=1)
+                        + lv["b"]).sigmoid().sum(), leaves)
         grads = g.backward_gradients()
         for name, leaf in leaves.items():
             assert grads[name].shape == leaf.shape
@@ -144,9 +153,9 @@ class TestBackwardGradients:
             g, _ = scalar_graph(build, {"x": x.copy()})
             return g.backward_gradients()["x"]
 
-        gf = grad_of(lambda lv, iv: (lv["x"] * lv["x"]).sum())
-        gg = grad_of(lambda lv, iv: lv["x"].sigmoid().sum())
-        gc = grad_of(lambda lv, iv: a * (lv["x"] * lv["x"]).sum()
+        gf = grad_of(lambda lv: (lv["x"] * lv["x"]).sum())
+        gg = grad_of(lambda lv: lv["x"].sigmoid().sum())
+        gc = grad_of(lambda lv: a * (lv["x"] * lv["x"]).sum()
                      + b * lv["x"].sigmoid().sum())
         np.testing.assert_allclose(gc, a * gf + b * gg, atol=1e-12)
 
@@ -198,11 +207,11 @@ class TestBackwardGradients:
 
     def test_replay_is_bit_reproducible(self):
         rng = np.random.default_rng(2)
-        g = Graph(lambda lv, iv: (lv["x"].sigmoid() * lv["x"]).sum(),
+        g = Graph(lambda lv: (lv["x"].sigmoid() * lv["x"]).sum(),
                   {"x": rng.standard_normal((3, 3))})
-        v1 = g.forward_eval({})
+        v1 = g.forward_eval()
         g1 = g.backward_gradients()["x"].copy()
-        v2 = g.forward_eval({})
+        v2 = g.forward_eval()
         g2 = g.backward_gradients()["x"]
         assert v1 == v2
         np.testing.assert_array_equal(g1, g2)
@@ -307,7 +316,7 @@ class TestStructuredOps:
         g.flat[rng.choice(g.size, 12, replace=False)] = np.tile(
             values[[0, 1, 4, 6]], 3)
         got = out._backward(g)[0]
-        idx = tc._window_argmax(x)
+        idx = window_argmax(x)
         gv = np.zeros(idx.shape + (8,), dtype)
         np.put_along_axis(gv, idx[..., None], g[..., None], axis=-1)
         want = gv.reshape(2, 3, 2, 3, 4, 2, 2, 2).transpose(
@@ -510,7 +519,7 @@ class TestConv3dSlabs:
         self.force_planes(monkeypatch, planes, k)
         x, w, b, _ = self.arrays(9, k)
         leaves = {"x": x, "w": w, "b": b}
-        g = Graph(lambda lv, iv: conv3d(lv["x"], lv["w"],
+        g = Graph(lambda lv: conv3d(lv["x"], lv["w"],
                                         lv["b"]).sigmoid().sum(), leaves)
         for leaf, value in leaves.items():
             report = finite_difference_check(g, leaf)
@@ -665,7 +674,7 @@ class TestInferenceKeepsNoTape:
 
 class TestFiniteDifferenceCheck:
     def test_sum_of_squares_passes(self):
-        g = Graph(lambda lv, iv: (lv["x"] * lv["x"]).sum(),
+        g = Graph(lambda lv: (lv["x"] * lv["x"]).sum(),
                   {"x": np.array([1.0, 2.0, 3.0])})
         report = finite_difference_check(g, "x")
         assert report.passed
@@ -676,7 +685,7 @@ class TestFiniteDifferenceCheck:
     def test_getitem_gradient_passes(self, index):
         rng = np.random.default_rng(5)
 
-        def build(lv, iv):
+        def build(lv):
             # x[0] overlaps every index, so gradients from two slices add up
             x = lv["x"]
             return (x[index].sigmoid() * x[index]).sum() + x[0].exp().sum()
@@ -692,7 +701,7 @@ class TestFiniteDifferenceCheck:
             leaves = {"x": rng.standard_normal(shape),
                       "w": 0.3 * rng.standard_normal((3, 2, k, k, k)),
                       "b": rng.standard_normal(3)}
-            build = lambda lv, iv: conv3d(lv["x"], lv["w"],
+            build = lambda lv: conv3d(lv["x"], lv["w"],
                                           lv["b"]).sigmoid().sum()
             g = Graph(build, leaves)
             for leaf, value in leaves.items():
@@ -703,7 +712,7 @@ class TestFiniteDifferenceCheck:
         # x[2] lies within STEP of 0, so x[2] - STEP turns its relu off: the
         # central difference there would read 1.5 against the gradient 3
         x = np.array([0.5, -0.7, 0.5 * STEP, 1.2, -0.3])
-        g = Graph(lambda lv, iv: (lv["x"].relu() * 3.0).sum(), {"x": x})
+        g = Graph(lambda lv: (lv["x"].relu() * 3.0).sum(), {"x": x})
         report = finite_difference_check(g, "x")
         assert report.skipped_at_kink == 1 and report.checked == 4
         assert report.passed
@@ -713,13 +722,13 @@ class TestFiniteDifferenceCheck:
         # so moving either by STEP swaps the argmax; the other six do not
         x = np.linspace(-0.5, 0.5, 8).reshape(1, 1, 2, 2, 2)
         x[0, 0, 0, 0, 0], x[0, 0, 1, 1, 1] = 0.9, 0.9 + 0.5 * STEP
-        g = Graph(lambda lv, iv: (maxpool3d(lv["x"]) * 2.0).sum(), {"x": x})
+        g = Graph(lambda lv: (maxpool3d(lv["x"]) * 2.0).sum(), {"x": x})
         report = finite_difference_check(g, "x")
         assert report.skipped_at_kink == 2 and report.checked == 6
         assert report.passed
 
     def test_constant_loss_passes(self):
-        g = Graph(lambda lv, iv: (lv["x"] * 0.0).sum(), {"x": np.ones(4)})
+        g = Graph(lambda lv: (lv["x"] * 0.0).sum(), {"x": np.ones(4)})
         report = finite_difference_check(g, "x")
         assert report.passed
 
@@ -731,14 +740,15 @@ class TestFiniteDifferenceCheck:
                 grads["x"][0] += 1.0
                 return grads
 
-        g = Corrupted(lambda lv, iv: (lv["x"] * lv["x"]).sum(),
+        g = Corrupted(lambda lv: (lv["x"] * lv["x"]).sum(),
                       {"x": np.array([1.0, 2.0, 3.0])})
         report = finite_difference_check(g, "x")
         assert not report.passed
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_gradient_fails_leaf_and_case(self, monkeypatch, bad):
-        # its relative error is NaN, which compares false with TOL
+        # a non-finite gradient is an infinite error, not a NaN one that
+        # would compare false with TOL
         class NonFinite(Graph):
             def backward_gradients(self):
                 grads = super().backward_gradients()
@@ -747,10 +757,10 @@ class TestFiniteDifferenceCheck:
                 return grads
 
         def factory(rng):
-            return NonFinite(lambda lv, iv: lv["x"].exp().sum(),
-                             {"x": rng.uniform(-1.0, 1.0, 3)}), {}
+            return NonFinite(lambda lv: lv["x"].exp().sum(),
+                             {"x": rng.uniform(-1.0, 1.0, 3)})
 
-        g, _ = factory(np.random.default_rng(0))
+        g = factory(np.random.default_rng(0))
         report = finite_difference_check(g, "x")
         assert not report.passed and report.max_error == np.inf
         monkeypatch.setitem(CASES, "nonfinite", factory)
@@ -760,7 +770,7 @@ class TestFiniteDifferenceCheck:
 
 class TestKinkPatterns:
     def test_each_relu_and_maxpool_leaves_one_entry(self):
-        def build(lv, iv):
+        def build(lv):
             h = maxpool3d(lv["x"].relu())
             return (h.relu() * h).sum()
 
@@ -769,8 +779,22 @@ class TestKinkPatterns:
         assert len(g.patterns) == 3
         assert tc._PATTERNS is None
 
+    def test_maxpool_pattern_changes_where_a_tie_appears(self):
+        # the window's first maximum stays put while its last entry rises
+        # to tie it: the mask of entries equal to the pooled value changes
+        x = np.linspace(-0.5, 0.5, 8).reshape(1, 1, 2, 2, 2)
+        x[0, 0, 0, 0, 0] = 0.9
+        patterns = []
+        for last in (0.5, 0.9):
+            x[0, 0, 1, 1, 1] = last
+            g, _ = scalar_graph(lambda lv: maxpool3d(lv["x"]).sum(),
+                                {"x": x})
+            patterns.append(g.patterns)
+            assert window_argmax(x) == 0
+        assert patterns[0] != patterns[1]
+
     def test_raising_build_stops_recording(self):
-        def build(lv, iv):
+        def build(lv):
             lv["x"].relu()
             raise RuntimeError("build failed")
 
@@ -871,8 +895,7 @@ def test_gradcheck_cases_cover_exactly_the_model_ops(monkeypatch):
     def suite_graphs():
         rng = np.random.default_rng(0)
         for factory in CASES.values():
-            graph, inputs = factory(rng)
-            graph.forward_eval(inputs)
+            factory(rng).forward_eval()
 
     model_ops = recorded_ops(monkeypatch, train_steps)
     assert {"conv3d", "maxpool3d", "dempster_fuse"} <= model_ops

@@ -416,6 +416,22 @@ class TestCheckpoint:
                            match="m.evckpt: malformed checkpoint header"):
             load_checkpoint(ckpt)
 
+    @pytest.mark.parametrize("edit, fault", [
+        (lambda h: h.update(epoch="three"), "epoch 'three'"),
+        (lambda h: h.update(epoch=-4), "epoch -4"),
+        (lambda h: h.update(epoch=True), "epoch True"),
+        (lambda h: h.update(version=3.0), "version 3.0"),
+        (lambda h: h.update(in_channels=2.0), "in_channels 2.0"),
+        (lambda h: h["tensors"][0].update(offset=0.0), "offset': 0.0")],
+        ids=["epoch-string", "epoch-negative", "epoch-bool", "version-float",
+             "in-channels-float", "offset-float"])
+    def test_ill_typed_number_is_refused(self, ckpt, edit, fault):
+        # each compares equal to a valid value, or passes a bare int
+        # check, but the header holds only exact non-negative ints
+        rewrite_header(ckpt, edit)
+        with pytest.raises(ValueError, match=f"m.evckpt: .*{fault}"):
+            load_checkpoint(ckpt)
+
     @pytest.mark.parametrize("head", HEADS)
     def test_loaded_checkpoint_saves_byte_identical(self, tmp_path, head):
         path, again = tmp_path / "a.evckpt", tmp_path / "b.evckpt"
